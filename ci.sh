@@ -2,6 +2,22 @@
 # Local CI gate: formatting, lints as errors, full test suite, bench smoke.
 set -eux
 
+# Waits (50 x 0.2 s) for the coordinator on $port to answer `amsfi status`;
+# on timeout kills $serve_pid and fails. $1, if given, names the
+# coordinator in the failure message.
+wait_for_serve() {
+    i=0
+    until ./target/release/amsfi status 127.0.0.1:$port >/dev/null 2>&1; do
+        i=$((i + 1))
+        if [ "$i" -gt 50 ]; then
+            echo "${1:+$1 }amsfi serve never came up on 127.0.0.1:$port" >&2
+            kill $serve_pid 2>/dev/null || true
+            exit 1
+        fi
+        sleep 0.2
+    done
+}
+
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q
@@ -77,16 +93,7 @@ port=17171
     --shards 3 --until-drained --journal-dir "$tmp/journals" \
     --metrics "$tmp/serve.prom" &
 serve_pid=$!
-i=0
-until ./target/release/amsfi status 127.0.0.1:$port >/dev/null 2>&1; do
-    i=$((i + 1))
-    if [ "$i" -gt 50 ]; then
-        echo "amsfi serve never came up on 127.0.0.1:$port" >&2
-        kill $serve_pid 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.2
-done
+wait_for_serve
 ./target/release/amsfi status 127.0.0.1:$port
 ./target/release/amsfi worker 127.0.0.1:$port --exit-when-done --name ci-w1 &
 w1=$!
@@ -158,16 +165,7 @@ test "$rc" -eq 5
 ./target/release/amsfi serve --bind 127.0.0.1:$port --campaign pll-sweep \
     --shards 3 --journal-dir "$tmp/journals" &
 serve_pid=$!
-i=0
-until ./target/release/amsfi status 127.0.0.1:$port >/dev/null 2>&1; do
-    i=$((i + 1))
-    if [ "$i" -gt 50 ]; then
-        echo "amsfi serve never came up on 127.0.0.1:$port" >&2
-        kill $serve_pid 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.2
-done
+wait_for_serve
 ./target/release/amsfi worker 127.0.0.1:$port --max-shards 1 --name ci-pre-crash
 kill -9 $serve_pid
 wait $serve_pid || true
@@ -175,16 +173,7 @@ wait $serve_pid || true
 ./target/release/amsfi serve --bind 127.0.0.1:$port --until-drained \
     --journal-dir "$tmp/journals" &
 serve_pid=$!
-i=0
-until ./target/release/amsfi status 127.0.0.1:$port >/dev/null 2>&1; do
-    i=$((i + 1))
-    if [ "$i" -gt 50 ]; then
-        echo "recovering amsfi serve never came up on 127.0.0.1:$port" >&2
-        kill $serve_pid 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.2
-done
+wait_for_serve "recovering"
 ./target/release/amsfi worker 127.0.0.1:$port --exit-when-done --name ci-post-crash
 wait $serve_pid
 ./target/release/amsfi run pll-sweep --out "$tmp/single" --progress-secs 0
@@ -194,16 +183,7 @@ cmp "$tmp/single/cases.csv" "$tmp/merged/cases.csv"
 ./target/release/amsfi serve --bind 127.0.0.1:$port --campaign pll-digital \
     --limit 4 --journal-dir "$tmp/drain-journals" &
 serve_pid=$!
-i=0
-until ./target/release/amsfi status 127.0.0.1:$port >/dev/null 2>&1; do
-    i=$((i + 1))
-    if [ "$i" -gt 50 ]; then
-        echo "drain-test amsfi serve never came up on 127.0.0.1:$port" >&2
-        kill $serve_pid 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.2
-done
+wait_for_serve "drain-test"
 ./target/release/amsfi drain 127.0.0.1:$port
 wait $serve_pid
 rm -rf "$tmp"
@@ -227,16 +207,7 @@ port=17191
 ./target/release/amsfi serve --bind 127.0.0.1:$port --campaign pll-digital \
     --limit 6 --shards 2 --until-drained --journal-dir "$tmp/journals" &
 serve_pid=$!
-i=0
-until ./target/release/amsfi status 127.0.0.1:$port >/dev/null 2>&1; do
-    i=$((i + 1))
-    if [ "$i" -gt 50 ]; then
-        echo "fleet-test amsfi serve never came up on 127.0.0.1:$port" >&2
-        kill $serve_pid 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.2
-done
+wait_for_serve "fleet-test"
 ./target/release/amsfi top 127.0.0.1:$port --once | grep -q "amsfi top"
 ./target/release/amsfi worker 127.0.0.1:$port --exit-when-done --name ci-fleet \
     --events "$tmp/worker-events.jsonl"

@@ -58,9 +58,18 @@
 //! coordinator into drain mode: lease requests are answered `no_work
 //! drained=1`, in-flight shards finish streaming and merging, journals
 //! stay flushed per record as always, and [`Coordinator::run`] returns
-//! once the last lease settles — as opposed to
-//! [`Coordinator::request_shutdown`], which stops the accept loop at
-//! the next poll and relies on crash recovery for anything in flight.
+//! once no lease is held and every connected worker has been answered
+//! `drained=1` or has left. A worker silent for a whole lease timeout
+//! does not hold the exit up. [`CoordinatorConfig::until_drained`]
+//! starts this same drain when the last campaign completes. Contrast
+//! [`Coordinator::request_shutdown`], which returns at once and relies
+//! on crash recovery for anything in flight.
+//!
+//! # Waiting
+//!
+//! No thread polls. The accept loop blocks in `accept` and is woken on
+//! exit by a loopback connect to its own address; the reaper and the
+//! progress ticker wait on a condition variable that exit signals.
 
 use crate::manifest::{self, SubmitManifest};
 use crate::proto::{self, Frame, ProtoError, PROTOCOL_VERSION};
@@ -73,10 +82,10 @@ use amsfi_telemetry::{
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Tuning and wiring for a [`Coordinator`].
@@ -90,7 +99,9 @@ pub struct CoordinatorConfig {
     pub reap_interval: Duration,
     /// Poll delay suggested to workers when no shard is available.
     pub retry_ms: u64,
-    /// Exit [`Coordinator::run`] once every submitted campaign completes.
+    /// Start a drain once every submitted campaign completes, so
+    /// [`Coordinator::run`] exits as soon as every connected worker has
+    /// been answered `drained=1` (see the module docs).
     pub until_drained: bool,
     /// Emit a progress line to stderr this often; `None` disables.
     pub progress: Option<Duration>,
@@ -284,6 +295,9 @@ struct WorkerInfo {
     /// `no_work` replies sent — growing with zero leases means the
     /// worker is idle-polling in backoff.
     nowork: u64,
+    /// The last reply to its `lease_req` said `drained=1`; a drain waits
+    /// for every connected worker to have heard it.
+    told_drained: bool,
 }
 
 /// The latest cumulative metrics snapshot a worker shipped, keyed by
@@ -303,6 +317,10 @@ struct State {
     /// Live socket per connection, so shutdown/drain can sever them all
     /// and the detached handler threads unblock promptly.
     conns: BTreeMap<u64, TcpStream>,
+    /// Handler threads currently alive; shutdown waits (bounded) for
+    /// zero so no thread still appends to a journal a successor process
+    /// may be replaying.
+    active_conns: usize,
     next_campaign: u64,
     next_lease: u64,
     next_conn: u64,
@@ -317,6 +335,17 @@ impl State {
     fn merged_total(&self) -> u64 {
         self.campaigns.values().map(|c| c.merged() as u64).sum()
     }
+
+    /// A drain is complete once nothing is leased and every connected
+    /// worker was answered `drained=1` or has been silent longer than
+    /// `silent` (a hung peer must not hold the exit up forever).
+    fn drain_settled(&self, now: Instant, silent: Duration) -> bool {
+        self.leases.is_empty()
+            && self
+                .workers
+                .values()
+                .all(|w| w.told_drained || now.duration_since(w.last_seen) > silent)
+    }
 }
 
 struct Shared {
@@ -325,10 +354,12 @@ struct Shared {
     metrics: Arc<ServeMetrics>,
     shutdown: AtomicBool,
     draining: AtomicBool,
-    /// Handler threads currently alive; shutdown waits (bounded) for
-    /// zero so no thread still appends to a journal a successor process
-    /// may be replaying.
-    active_conns: AtomicUsize,
+    /// Signalled on shutdown and whenever a handler thread ends; the
+    /// reaper, the progress ticker and `run`'s final wait sleep on it.
+    wake: Condvar,
+    /// Where a loopback connect reaches the listener, to unblock its
+    /// `accept` on shutdown.
+    wake_addr: SocketAddr,
     epoch: u64,
     start: Instant,
 }
@@ -343,19 +374,63 @@ impl Shared {
             .telemetry
             .emit_with(|| build(Event::new("serve", name)));
     }
+
+    fn stopping(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Sleeps up to `timeout` unless shutdown is requested first; true
+    /// once it has been.
+    fn wait_for_shutdown(&self, timeout: Duration) -> bool {
+        let state = self.lock();
+        let _ = self
+            .wake
+            .wait_timeout_while(state, timeout, |_| !self.stopping())
+            .expect("coordinator state poisoned");
+        self.stopping()
+    }
+
+    /// Ends [`Coordinator::run`]: raises the shutdown flag, wakes the
+    /// threads waiting on it, and unblocks the accept loop with a
+    /// loopback connect. Idempotent; never call it holding the state lock.
+    fn stop(&self) {
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // Taking the lock orders the flag before any waiter's predicate
+        // check, so no wake-up is lost.
+        drop(self.lock());
+        self.wake.notify_all();
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+    }
+
+    /// Ends [`Coordinator::run`] if a drain is under way and has settled.
+    fn settle_drain(&self) {
+        if !self.draining.load(Ordering::SeqCst) {
+            return;
+        }
+        let settled = self
+            .lock()
+            .drain_settled(Instant::now(), self.cfg.lease_timeout);
+        if settled {
+            self.stop();
+        }
+    }
 }
 
 /// A bound, not-yet-running coordinator. [`Coordinator::run`] serves until
 /// drained (if configured) or [`Coordinator::request_shutdown`].
 pub struct Coordinator {
-    listener: TcpListener,
+    /// Taken (and closed) by [`Coordinator::run`].
+    listener: Mutex<Option<TcpListener>>,
+    addr: SocketAddr,
     shared: Arc<Shared>,
 }
 
 impl std::fmt::Debug for Coordinator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Coordinator")
-            .field("addr", &self.listener.local_addr().ok())
+            .field("addr", &self.addr)
             .finish_non_exhaustive()
     }
 }
@@ -376,6 +451,14 @@ impl Coordinator {
         // pre-crash lease id without tracking them individually.
         let epoch = manifest::bump_epoch(&cfg.journal_dir)?;
         let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        let mut wake_addr = addr;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let state = State {
             next_lease: epoch << 32,
             ..State::default()
@@ -386,23 +469,30 @@ impl Coordinator {
             metrics: Arc::new(ServeMetrics::new()),
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            active_conns: AtomicUsize::new(0),
+            wake: Condvar::new(),
+            wake_addr,
             epoch,
             start: Instant::now(),
         });
         if shared.cfg.recover {
             recover_campaigns(&shared);
         }
-        Ok(Coordinator { listener, shared })
+        Ok(Coordinator {
+            listener: Mutex::new(Some(listener)),
+            addr,
+            shared,
+        })
     }
 
-    /// The address the coordinator is listening on.
+    /// The address the coordinator is listening on (recorded at bind,
+    /// so it stays readable after [`Coordinator::run`] closes the
+    /// listener).
     ///
     /// # Errors
     ///
-    /// Propagates the socket query failure.
+    /// None today; the `Result` is kept for callers.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
+        Ok(self.addr)
     }
 
     /// The coordinator's metric registry (shared with the Prometheus
@@ -434,17 +524,22 @@ impl Coordinator {
         self.shared.lock().drained()
     }
 
-    /// Asks [`Coordinator::run`] to return after its next accept poll.
+    /// Makes [`Coordinator::run`] return now: it wakes the blocked
+    /// accept, stops the reaper and progress threads without waiting out
+    /// their intervals, severs every connection and closes the listener.
     /// Abrupt: in-flight leases are abandoned to crash recovery.
     pub fn request_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.stop();
     }
 
     /// Begins a graceful drain: no further leases are granted, and
-    /// [`Coordinator::run`] returns once every in-flight lease has
-    /// finished merging (journals are already flushed per record).
+    /// [`Coordinator::run`] returns as soon as every in-flight lease has
+    /// finished merging (journals are already flushed per record) and
+    /// every connected worker has been answered `drained=1` or has left.
+    /// A worker silent for a whole lease timeout is not waited for.
     pub fn request_drain(&self) {
         begin_drain(&self.shared);
+        self.shared.settle_drain();
     }
 
     /// The lease epoch this incarnation runs in (bumped every start).
@@ -482,15 +577,21 @@ impl Coordinator {
             .map(|c| c.entries.clone())
     }
 
-    /// Serves connections until drained (when configured), shut down, or
-    /// a fatal listener error.
+    /// Serves connections until a drain settles (see the module docs),
+    /// shut down, or a fatal listener error. The listener is closed on
+    /// return, so a late connect is refused at once.
     ///
     /// # Errors
     ///
-    /// Fatal listener failure only; per-connection trouble is contained
-    /// in that connection's handler thread.
+    /// Fatal listener failure, or a second call; per-connection trouble
+    /// is contained in that connection's handler thread.
     pub fn run(&self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
+        let listener = self
+            .listener
+            .lock()
+            .expect("coordinator listener poisoned")
+            .take()
+            .ok_or_else(|| io::Error::other("coordinator already ran"))?;
         let reaper = {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || reaper_loop(&shared))
@@ -500,16 +601,17 @@ impl Coordinator {
             std::thread::spawn(move || progress_loop(&shared, interval))
         });
 
+        // A drain may have settled before `run` (recovered campaigns that
+        // were already complete under `until_drained`).
+        self.shared.settle_drain();
         let result = loop {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
+            if self.shared.stopping() {
                 break Ok(());
             }
-            if self.shared.draining.load(Ordering::SeqCst) && self.shared.lock().leases.is_empty() {
-                // Drain complete: nothing is leased, everything streamed
-                // so far is merged and flushed.
-                break Ok(());
-            }
-            match self.listener.accept() {
+            match listener.accept() {
+                // The wake-up connect from `Shared::stop`, or a peer that
+                // raced it: either way, serve no more.
+                Ok(_) if self.shared.stopping() => break Ok(()),
                 Ok((stream, peer)) => {
                     let shared = Arc::clone(&self.shared);
                     // Handler threads are detached on purpose: one may sit
@@ -521,14 +623,12 @@ impl Coordinator {
                     // to drain.
                     std::thread::spawn(move || handle_conn(&shared, stream, peer));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
                 Err(e) => break Err(e),
             }
         };
 
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        drop(listener);
+        self.shared.stop();
         reaper.join().ok();
         if let Some(p) = progress {
             p.join().ok();
@@ -536,16 +636,16 @@ impl Coordinator {
         // Sever every live connection so no detached handler can still
         // append to a journal a successor coordinator may be replaying,
         // then wait (bounded) for the handlers to finish their cleanup.
-        {
-            let state = self.shared.lock();
-            for conn in state.conns.values() {
-                let _ = conn.shutdown(Shutdown::Both);
-            }
+        let state = self.shared.lock();
+        for conn in state.conns.values() {
+            let _ = conn.shutdown(Shutdown::Both);
         }
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while self.shared.active_conns.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        drop(
+            self.shared
+                .wake
+                .wait_timeout_while(state, Duration::from_secs(2), |s| s.active_conns > 0)
+                .expect("coordinator state poisoned"),
+        );
         write_metrics_file(&self.shared);
         self.shared.cfg.telemetry.flush();
         result
@@ -755,11 +855,12 @@ fn recover_campaigns(shared: &Shared) {
     // Everything recovered may already be complete; honour
     // `--until-drained` without waiting for a frame that never comes.
     if shared.cfg.until_drained && shared.lock().drained() {
-        shared.shutdown.store(true, Ordering::SeqCst);
+        shared.draining.store(true, Ordering::SeqCst);
     }
 }
 
-/// Flips the coordinator into drain mode (idempotent).
+/// Flips the coordinator into drain mode on request (idempotent). The
+/// caller then answers the request and calls [`Shared::settle_drain`].
 fn begin_drain(shared: &Shared) {
     if !shared.draining.swap(true, Ordering::SeqCst) {
         shared.metrics.drain_requests.inc();
@@ -797,8 +898,7 @@ fn release_lease(shared: &Shared, state: &mut State, lease_id: u64, why: &str, t
 }
 
 fn reaper_loop(shared: &Shared) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(shared.cfg.reap_interval);
+    while !shared.wait_for_shutdown(shared.cfg.reap_interval) {
         let now = Instant::now();
         let mut state = shared.lock();
         let expired: Vec<u64> = state
@@ -821,6 +921,8 @@ fn reaper_loop(shared: &Shared) {
         }
         drop(state);
         scan_stragglers(shared, now);
+        // A drain also settles once its last silent worker times out.
+        shared.settle_drain();
     }
 }
 
@@ -925,11 +1027,7 @@ fn scan_stragglers(shared: &Shared, now: Instant) {
 }
 
 fn progress_loop(shared: &Shared, interval: Duration) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(interval);
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
+    while !shared.wait_for_shutdown(interval) {
         let (campaigns, complete, merged, workers, leases) = {
             let state = shared.lock();
             (
@@ -1504,7 +1602,10 @@ fn finish_shard(shared: &Shared, conn: u64, lease_id: u64) {
         shared.metrics.campaigns_completed.inc();
         shared.event("campaign_done", |e| e.with_field("campaign", campaign_id));
         if shared.cfg.until_drained && state.drained() {
-            shared.shutdown.store(true, Ordering::SeqCst);
+            // `until_drained` exits through the ordinary drain (not
+            // counted as a drain request), so every worker still hears
+            // `drained=1` before the link closes.
+            shared.draining.store(true, Ordering::SeqCst);
         }
     }
 }
@@ -1520,9 +1621,9 @@ fn handle_conn(shared: &Shared, stream: TcpStream, peer: SocketAddr) {
         Err(_) => return,
     };
     let sever_handle = stream.try_clone().ok();
-    shared.active_conns.fetch_add(1, Ordering::SeqCst);
     let conn = {
         let mut state = shared.lock();
+        state.active_conns += 1;
         state.next_conn += 1;
         let id = state.next_conn;
         if let Some(h) = sever_handle {
@@ -1597,6 +1698,7 @@ fn handle_conn(shared: &Shared, stream: TcpStream, peer: SocketAddr) {
                         leases: 0,
                         last_seen: now,
                         nowork: 0,
+                        told_drained: false,
                     },
                 );
                 drop(state);
@@ -1648,6 +1750,15 @@ fn handle_conn(shared: &Shared, stream: TcpStream, peer: SocketAddr) {
                 if !send(&mut writer, &reply) {
                     break;
                 }
+                // Marked only once the reply is on the wire: a drain that
+                // settles on it must not sever the link before it is sent.
+                let told = matches!(reply, Frame::NoWork { drained: true, .. });
+                if let Some(w) = shared.lock().workers.get_mut(&conn) {
+                    w.told_drained = told;
+                }
+                if told {
+                    shared.settle_drain();
+                }
             }
             Frame::Record { lease, line } => merge_record(shared, conn, lease, &line),
             Frame::Heartbeat { lease, metrics } => {
@@ -1670,6 +1781,7 @@ fn handle_conn(shared: &Shared, stream: TcpStream, peer: SocketAddr) {
             Frame::ShardDone { lease, metrics } => {
                 store_worker_metrics(shared, conn, metrics);
                 finish_shard(shared, conn, lease);
+                shared.settle_drain();
             }
             Frame::TopRequest => {
                 let reply = Frame::Top {
@@ -1682,6 +1794,8 @@ fn handle_conn(shared: &Shared, stream: TcpStream, peer: SocketAddr) {
             Frame::ShardAbort { lease, reason } => {
                 let mut state = shared.lock();
                 release_lease(shared, &mut state, lease, &reason, false);
+                drop(state);
+                shared.settle_drain();
             }
             Frame::StatusRequest => {
                 let reply = status_frame(shared);
@@ -1697,6 +1811,7 @@ fn handle_conn(shared: &Shared, stream: TcpStream, peer: SocketAddr) {
                 if !send(&mut writer, &reply) {
                     break;
                 }
+                shared.settle_drain();
             }
             Frame::Bye => break,
             // Replies we never expect as requests, and frames from a newer
@@ -1726,9 +1841,11 @@ fn handle_conn(shared: &Shared, stream: TcpStream, peer: SocketAddr) {
     }
     state.workers.remove(&conn);
     state.conns.remove(&conn);
+    state.active_conns -= 1;
     drop(state);
+    shared.wake.notify_all();
     if registered {
         shared.metrics.workers_connected.dec();
     }
-    shared.active_conns.fetch_sub(1, Ordering::SeqCst);
+    shared.settle_drain();
 }

@@ -47,6 +47,7 @@ use std::fmt;
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -63,7 +64,8 @@ pub struct WorkerConfig {
     /// jittered so a worker fleet does not poll in lock-step).
     pub poll: Duration,
     /// Lease keep-alive interval while a shard runs. Must be well under
-    /// the coordinator's lease timeout.
+    /// the coordinator's lease timeout. Only a shard that outlives it
+    /// sends a heartbeat; the end of a shard is never delayed by one.
     pub heartbeat: Duration,
     /// Exit cleanly when the coordinator reports all campaigns complete,
     /// instead of polling for future submissions.
@@ -561,10 +563,10 @@ fn run_lease(
     // Keep the lease alive through cases that simulate longer than the
     // coordinator's lease timeout. Each beat carries a fresh cumulative
     // metrics snapshot, so the fleet view tracks a long shard live.
-    let hb_stop = Arc::new(AtomicBool::new(false));
+    // Dropping `hb_stop` when the shard ends wakes the thread at once.
+    let (hb_stop, hb_wait) = mpsc::channel::<()>();
     let hb = {
         let writer = Arc::clone(writer);
-        let stop = Arc::clone(&hb_stop);
         let interval = cfg.heartbeat;
         let telemetry = cfg.telemetry.clone();
         let ship = cfg.ship_metrics;
@@ -574,11 +576,7 @@ fn run_lease(
         let shards_done = report.shards_completed as u64;
         let cases_base = report.cases_executed as u64;
         std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(interval);
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
+            while let Err(RecvTimeoutError::Timeout) = hb_wait.recv_timeout(interval) {
                 let metrics = ship_snapshot(
                     ship,
                     &telemetry,
@@ -602,7 +600,7 @@ fn run_lease(
         .with_completed(completed);
     let outcome = Engine::new(engine_cfg).run(&campaign);
 
-    hb_stop.store(true, Ordering::Relaxed);
+    drop(hb_stop);
     hb.join().ok();
     report.records_streamed += streamed.load(Ordering::Relaxed);
 

@@ -3,7 +3,8 @@
 //! schedule — latency spikes, connections cut mid-frame or mid-length-
 //! prefix, truncated replies, duplicated frames — must converge to a
 //! merged report byte-identical to an undisturbed single-process run,
-//! with exactly one journal record per case.
+//! with exactly one journal record per case — and must end live: the
+//! worker returns cleanly within one lease timeout of the coordinator.
 
 use amsfi_core::{ClassifySpec, FaultCase};
 use amsfi_engine::journal::{self, JournalEntry};
@@ -16,10 +17,12 @@ use amsfi_waves::{Logic, Time, Trace};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const CASES: usize = 12;
 const SHARDS: usize = 3;
+/// Severed worker links must be reaped quickly so the shard re-leases.
+const LEASE_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Same deterministic toy campaign as `tests/distributed.rs`.
 fn toy_campaign(n: usize) -> Campaign {
@@ -91,8 +94,7 @@ fn campaign_through_chaos(tag: &str, schedule: FaultSchedule) -> (String, usize,
     let dir = unique_dir(tag);
     let mut cfg = CoordinatorConfig::new(&dir, toy_source());
     cfg.until_drained = true;
-    // Severed worker links must be reaped quickly so the shard re-leases.
-    cfg.lease_timeout = Duration::from_millis(500);
+    cfg.lease_timeout = LEASE_TIMEOUT;
     cfg.reap_interval = Duration::from_millis(25);
     cfg.retry_ms = 20;
     let coordinator = Arc::new(Coordinator::bind("127.0.0.1:0", cfg).expect("bind loopback"));
@@ -120,13 +122,22 @@ fn campaign_through_chaos(tag: &str, schedule: FaultSchedule) -> (String, usize,
         std::thread::spawn(move || amsfi_serve::worker::run(cfg))
     };
 
-    // The coordinator is the arbiter: it exits only once every case is
-    // merged. The worker may exit with a link error *after* that (its
-    // final poll can race the shutdown), which is fine — the campaign
-    // outcome is judged on the journal, not the worker's last gasp.
+    // The coordinator exits through its drain: only once every case is
+    // merged and the worker has been answered `drained=1`. So the worker
+    // must end cleanly, and promptly — not by reconnecting into a dead
+    // listener until its budget runs out.
     run.join().unwrap().expect("coordinator drains");
-    let _ = worker.join().unwrap();
+    let exited = Instant::now();
+    let outcome = worker.join().unwrap();
+    let lag = exited.elapsed();
     proxy.stop();
+    if let Err(e) = outcome {
+        panic!("worker under schedule {tag:?} must end cleanly: {e}");
+    }
+    assert!(
+        lag <= LEASE_TIMEOUT,
+        "worker under schedule {tag:?} joined {lag:?} after the coordinator exited"
+    );
 
     let (meta, entries) = journal::load(&info.journal).expect("merged journal loads");
     assert_eq!(meta.cases, CASES);

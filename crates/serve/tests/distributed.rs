@@ -977,3 +977,168 @@ fn drain_frame_stops_leasing_and_shuts_down_cleanly() {
     drop(zombie);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Heartbeats only keep long shards alive; they must not pace short
+/// ones. With a 30 s heartbeat, a six-shard campaign of instant cases
+/// has to drain in a small fraction of one beat.
+#[test]
+fn short_shards_drain_in_well_under_one_heartbeat() {
+    const CASES: usize = 12;
+    const HEARTBEAT: Duration = Duration::from_secs(30);
+    let (_, reference_csv) = single_process_reference(CASES);
+
+    let dir = unique_dir("heartbeat");
+    let mut cfg = CoordinatorConfig::new(&dir, toy_source(CASES));
+    cfg.until_drained = true;
+    cfg.lease_timeout = Duration::from_secs(60);
+    cfg.retry_ms = 20;
+    let cluster = start_cluster(cfg);
+    let info = cluster
+        .coordinator
+        .submit("toy", 6, None, false, false)
+        .expect("submit toy campaign");
+
+    let t0 = Instant::now();
+    let workers: Vec<_> = (0..2)
+        .map(|i| {
+            let mut cfg = worker_config(&cluster.addr, &format!("hb{i}"), CASES);
+            cfg.heartbeat = HEARTBEAT;
+            std::thread::spawn(move || amsfi_serve::worker::run(cfg))
+        })
+        .collect();
+    let shards: usize = workers
+        .into_iter()
+        .map(|w| {
+            w.join()
+                .unwrap()
+                .expect("worker runs cleanly")
+                .shards_completed
+        })
+        .sum();
+    cluster.run.join().unwrap().expect("coordinator drains");
+    let took = t0.elapsed();
+
+    assert_eq!(shards, 6);
+    assert!(
+        took < Duration::from_secs(5),
+        "six short shards took {took:?}: a shard waited for its heartbeat"
+    );
+    assert_eq!(merged_csv(&info.journal, CASES), reference_csv);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `request_shutdown` wakes everything that waits: the blocked accept,
+/// a reaper and a progress ticker in the middle of minute-long sleeps,
+/// and a connected client. Once `run` returns, the listener is closed.
+#[test]
+fn shutdown_returns_within_a_second_and_closes_the_listener() {
+    let dir = unique_dir("shutdown");
+    let mut cfg = CoordinatorConfig::new(&dir, toy_source(6));
+    cfg.reap_interval = Duration::from_secs(60);
+    cfg.progress = Some(Duration::from_secs(60));
+    let cluster = start_cluster(cfg);
+
+    // A status round trip proves the accept loop is serving, and the
+    // client stays connected across the shutdown.
+    let mut client = TcpStream::connect(&cluster.addr).unwrap();
+    write_frame(&mut client, &Frame::StatusRequest).unwrap();
+    assert!(matches!(
+        read_frame(&mut client).unwrap(),
+        Frame::Status { .. }
+    ));
+
+    let t0 = Instant::now();
+    cluster.coordinator.request_shutdown();
+    cluster.run.join().unwrap().expect("coordinator exits");
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(1), "run took {took:?} to return");
+
+    let refused = TcpStream::connect(&cluster.addr)
+        .expect_err("a connect after run returned must be refused");
+    assert_eq!(refused.kind(), std::io::ErrorKind::ConnectionRefused);
+    drop(client);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `until_drained` exits through the drain: after the last shard, the
+/// coordinator stays up until every connected worker has been answered
+/// `drained=1`, then exits at once. Two workers run without
+/// `exit_when_done`: a real one that finishes the campaign and keeps
+/// polling, and a hand-driven one that asks only when the test says so.
+/// A long lease timeout rules out the silent-worker bound as the cause.
+#[test]
+fn until_drained_exits_once_every_worker_has_heard_drained() {
+    const CASES: usize = 12;
+    let dir = unique_dir("told");
+    let mut cfg = CoordinatorConfig::new(&dir, toy_source(CASES));
+    cfg.until_drained = true;
+    cfg.lease_timeout = Duration::from_secs(60);
+    cfg.reap_interval = Duration::from_millis(25);
+    cfg.retry_ms = 20;
+    let cluster = start_cluster(cfg);
+    cluster
+        .coordinator
+        .submit("toy", 3, None, false, false)
+        .expect("submit toy campaign");
+
+    let mut idle = TcpStream::connect(&cluster.addr).unwrap();
+    write_frame(
+        &mut idle,
+        &Frame::Hello {
+            worker: "idle".to_owned(),
+            protocol: PROTOCOL_VERSION,
+        },
+    )
+    .unwrap();
+    assert!(matches!(
+        read_frame(&mut idle).unwrap(),
+        Frame::Welcome { .. }
+    ));
+
+    let worker = {
+        let mut cfg = worker_config(&cluster.addr, "poller", CASES);
+        cfg.exit_when_done = false;
+        cfg.backoff = Duration::from_millis(5);
+        cfg.max_reconnects = Some(1);
+        std::thread::spawn(move || amsfi_serve::worker::run(cfg))
+    };
+    wait_until("the campaign to complete", Duration::from_secs(10), || {
+        cluster.coordinator.drained()
+    });
+    // The poller keeps hearing `drained=1`; the idle worker has heard
+    // nothing yet, so the coordinator must still be serving.
+    std::thread::sleep(Duration::from_millis(200));
+    assert!(
+        !cluster.run.is_finished(),
+        "the coordinator exited before the idle worker heard drained=1"
+    );
+
+    write_frame(&mut idle, &Frame::LeaseRequest).unwrap();
+    match read_frame(&mut idle).unwrap() {
+        Frame::NoWork { drained, .. } => assert!(drained, "the idle worker hears drained=1"),
+        other => panic!("expected no_work, got {other:?}"),
+    }
+    let t0 = Instant::now();
+    cluster.run.join().unwrap().expect("coordinator drains");
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "the drain settled {:?} after the last worker heard drained=1",
+        t0.elapsed()
+    );
+
+    // The poller learns of the exit from its link; its one reconnect is
+    // refused at once because the listener is closed.
+    let t1 = Instant::now();
+    let outcome = worker.join().unwrap();
+    assert!(
+        matches!(outcome, Err(amsfi_serve::WorkerError::Proto(_))),
+        "{outcome:?}"
+    );
+    assert!(
+        t1.elapsed() < Duration::from_secs(2),
+        "the poller's reconnect took {:?} to fail",
+        t1.elapsed()
+    );
+    drop(idle);
+    std::fs::remove_dir_all(&dir).ok();
+}
