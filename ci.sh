@@ -22,6 +22,17 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q
 
+# Results oracle: every figure/extension binary (fig*, ext*) regenerates
+# its files under results/ byte for byte (results/bench/ holds the perf
+# gates' output and is excluded).
+cargo build --release -p amsfi-bench --bins
+tmp=$(mktemp -d)
+for bin in crates/bench/src/bin/fig*.rs crates/bench/src/bin/ext*.rs; do
+    AMSFI_RESULTS_DIR="$tmp" "./target/release/$(basename "$bin" .rs)" >/dev/null
+done
+diff -r -x bench "$tmp" results
+rm -rf "$tmp"
+
 # PR 2 bench smoke: checkpoint-vs-scratch speedup on the PLL injection-time
 # sweep, emitting results/bench/BENCH_pr2.json (cases/sec + speedup at
 # 1/4/8 workers). The binary also asserts forked runs are byte-identical

@@ -1,8 +1,8 @@
-//! Criterion benches for the campaign engine: worker scaling of the
-//! parallel runner and the cost of trace classification.
+//! Criterion benches for the campaign engine: worker scaling, checkpoint
+//! vs from-scratch execution, and the cost of trace classification.
 
 use amsfi_circuits::pll::{self, names, PllConfig};
-use amsfi_core::{run_campaign_parallel, ClassifySpec, FaultCase};
+use amsfi_core::{ClassifySpec, FaultCase};
 use amsfi_digital::{cells, Netlist, Simulator};
 use amsfi_engine::{Campaign, CaseCtx, Engine, EngineConfig};
 use amsfi_faults::TrapezoidPulse;
@@ -32,38 +32,7 @@ fn build_counter() -> (Simulator, Vec<amsfi_digital::MutantTarget>) {
     (sim, targets)
 }
 
-fn campaign_worker_scaling(c: &mut Criterion) {
-    let at = Time::from_us(5);
-    let spec = ClassifySpec::new(
-        (Time::ZERO, Time::from_us(50)),
-        (0..16).map(|i| format!("q[{i}]")).collect(),
-    );
-    let mut group = c.benchmark_group("campaign_16_seu_runs");
-    for workers in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
-            b.iter(|| {
-                let cases: Vec<FaultCase> = (0..16)
-                    .map(|i| FaultCase::new(format!("bit{i}"), at))
-                    .collect();
-                let result = run_campaign_parallel(&spec, cases, w, |case| {
-                    let (mut sim, targets) = build_counter();
-                    if let Some(i) = case {
-                        sim.run_until(at)?;
-                        sim.flip_state(targets[i].component, targets[i].bit);
-                    }
-                    sim.run_until(Time::from_us(50))?;
-                    Ok(sim.into_trace())
-                })
-                .expect("campaign");
-                black_box(result.summary())
-            });
-        });
-    }
-    group.finish();
-}
-
-/// The counter SEU campaign as an engine [`Campaign`], for the
-/// engine-vs-legacy throughput comparison.
+/// 16 SEUs, one per bit of a free-running 16-bit counter.
 fn counter_campaign() -> Campaign {
     let at = Time::from_us(5);
     Campaign {
@@ -88,6 +57,21 @@ fn counter_campaign() -> Campaign {
         batch: None,
         word: None,
     }
+}
+
+fn campaign_worker_scaling(c: &mut Criterion) {
+    let campaign = counter_campaign();
+    let mut group = c.benchmark_group("campaign_16_seu_runs");
+    for workers in [1usize, 2, 4, 8] {
+        group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
+            let engine = Engine::new(EngineConfig::default().with_workers(w));
+            b.iter(|| {
+                let report = engine.run(&campaign).expect("campaign");
+                black_box(report.result.summary())
+            });
+        });
+    }
+    group.finish();
 }
 
 /// The PLL injection-time sweep built through [`Campaign::forked`]: 24
@@ -158,43 +142,6 @@ fn checkpoint_vs_scratch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Engine vs legacy runner over the identical 16-SEU counter campaign, at
-/// each worker count. The engine adds journaling hooks, retry/timeout
-/// plumbing and atomic stats; this measures what that machinery costs.
-fn engine_vs_legacy(c: &mut Criterion) {
-    let at = Time::from_us(5);
-    let campaign = counter_campaign();
-    let mut group = c.benchmark_group("engine_vs_legacy_16_seu_runs");
-    for workers in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("engine", workers), &workers, |b, &w| {
-            let engine = Engine::new(EngineConfig::default().with_workers(w));
-            b.iter(|| {
-                let report = engine.run(&campaign).expect("engine campaign");
-                black_box(report.result.summary())
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("legacy", workers), &workers, |b, &w| {
-            b.iter(|| {
-                let cases: Vec<FaultCase> = (0..16)
-                    .map(|i| FaultCase::new(format!("bit{i}"), at))
-                    .collect();
-                let result = run_campaign_parallel(&campaign.spec, cases, w, |case| {
-                    let (mut sim, targets) = build_counter();
-                    if let Some(i) = case {
-                        sim.run_until(at)?;
-                        sim.flip_state(targets[i].component, targets[i].bit);
-                    }
-                    sim.run_until(Time::from_us(50))?;
-                    Ok(sim.into_trace())
-                })
-                .expect("campaign");
-                black_box(result.summary())
-            });
-        });
-    }
-    group.finish();
-}
-
 fn classification_cost(c: &mut Criterion) {
     // Two traces with thousands of transitions, half of them mismatched.
     let mut golden = Trace::new();
@@ -226,6 +173,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = campaigns;
     config = config();
-    targets = campaign_worker_scaling, engine_vs_legacy, checkpoint_vs_scratch, classification_cost
+    targets = campaign_worker_scaling, checkpoint_vs_scratch, classification_cost
 }
 criterion_main!(campaigns);

@@ -8,144 +8,74 @@
 //! ```
 
 use amsfi_bench::{banner, write_result};
-use amsfi_circuits::pll::{self, names};
-use amsfi_core::{injection_stops, plan, report, run_campaign_parallel, ClassifySpec, FaultCase};
-use amsfi_engine::{campaigns, Engine, EngineConfig};
-use amsfi_waves::{Time, Tolerance};
-
-const T_END: Time = Time::from_us(30);
+use amsfi_core::report;
+use amsfi_engine::{campaigns, Engine, EngineConfig, ErrorPolicy};
 
 fn main() {
     banner("Extension A — exhaustive digital SEU campaign (PLL + payload)");
-    let mut config = pll::PllConfig::fast();
-    config.payload = true;
-
-    // Enumerate the mutant fault list from a throwaway build.
-    let probe = pll::build(&config);
-    let targets = probe.mixed.digital().mutant_targets();
+    // The catalog campaign: every mutant bit of the fast PLL with payload,
+    // at 4 instants after lock; outputs are the payload's visible buses,
+    // internals the loop state signals. Its runs pause at every distinct
+    // injection instant, so the from-scratch and checkpointed paths take
+    // the same adaptive analog step grid.
+    let campaign = campaigns::build("pll-digital", None).expect("pll-digital is a named campaign");
+    let first_at = campaign.cases[0].injected_at;
+    let targets: Vec<&str> = campaign
+        .cases
+        .iter()
+        .take_while(|c| c.injected_at == first_at)
+        .map(|c| c.label.split(" @").next().unwrap_or(&c.label))
+        .collect();
     println!("  mutant targets: {}", targets.len());
     for t in &targets {
         println!("    {t}");
     }
-
-    // Injection times: after lock, spread across reference cycles.
-    let times = plan::uniform_times(Time::from_us(12), Time::from_us(16), 4);
-    let mut cases = Vec::new();
-    let mut plan_index = Vec::new();
-    for (ti, &at) in times.iter().enumerate() {
-        for (gi, target) in targets.iter().enumerate() {
-            cases.push(FaultCase::new(format!("{target} @ {at}"), at));
-            plan_index.push((gi, ti));
-        }
-    }
     println!(
         "\n  campaign: {} targets x {} injection times = {} runs",
         targets.len(),
-        times.len(),
-        cases.len()
+        campaign.cases.len() / targets.len(),
+        campaign.cases.len()
     );
 
-    // Outputs: the payload's visible buses; internals: loop state signals.
-    let mut outputs: Vec<String> = (0..8).map(|i| format!("{}[{i}]", names::COUNT)).collect();
-    outputs.push(names::SHIFT_OUT.to_owned());
-    let spec = ClassifySpec::new((Time::from_us(12), T_END), outputs)
-        .with_internals(vec![names::FB.to_owned(), names::VCTRL.to_owned()])
-        .with_tolerance(Tolerance::new(0.05, 0.01))
-        // Forgive sub-2-ns residual clock-phase skew; a lost/gained count
-        // cycle shifts edges by a full 20 ns period and still registers.
-        .with_digital_skew(Time::from_ns(2));
-
-    // Every run — golden included — pauses at the same distinct injection
-    // instants, matching the engine's checkpoint/fork stop sequence: the
-    // adaptive-step analog kernel's step grid depends on where `run_until`
-    // stops, so sharing the stops is what makes the legacy, engine and
-    // checkpointed paths byte-comparable.
-    let stops = injection_stops(&cases, T_END);
+    let scratch = EngineConfig::default().with_error_policy(ErrorPolicy::FailFast);
     let start = std::time::Instant::now();
-    let result = run_campaign_parallel(&spec, cases, workers(), |case| {
-        let mut bench = pll::build(&config);
-        bench.monitor_standard();
-        match case {
-            None => {
-                for &stop in &stops {
-                    bench.run_until(stop)?;
-                }
-            }
-            Some(i) => {
-                let (gi, ti) = plan_index[i];
-                let at = times[ti];
-                for &stop in stops.iter().take_while(|&&s| s <= at) {
-                    bench.run_until(stop)?;
-                }
-                let target = &targets[gi];
-                bench
-                    .mixed
-                    .digital_mut()
-                    .flip_state(target.component, target.bit);
-            }
-        }
-        bench.run_until(T_END)?;
-        Ok(bench.trace())
-    })
-    .expect("campaign");
-    println!("  completed in {:?}\n", start.elapsed());
+    let run = Engine::new(scratch.clone())
+        .run(&campaign)
+        .expect("campaign");
+    let elapsed = start.elapsed();
+    let result = &run.result;
+    println!(
+        "  completed in {elapsed:?} ({:.1} cases/s)\n",
+        run.stats.rate()
+    );
+    print!("{}", run.stats.stage_table());
 
     banner("Classification summary");
-    print!("{}", report::summary_table(&result));
+    print!("{}", report::summary_table(result));
 
     banner("Per-target sensitivity (which nodes need protection)");
-    print!("{}", report::per_target_table(&result));
+    print!("{}", report::per_target_table(result));
 
-    write_result("ext_digital_campaign.csv", &report::cases_csv(&result));
-
-    banner("Engine path (amsfi-engine) vs legacy runner");
-    let engine_campaign =
-        campaigns::build("pll-digital", None).expect("pll-digital is a named campaign");
-    assert_eq!(
-        engine_campaign.cases.len(),
-        result.cases.len(),
-        "engine campaign must mirror the legacy fault list"
-    );
-    let engine_start = std::time::Instant::now();
-    let engine_report = Engine::new(EngineConfig::default().with_workers(workers()))
-        .run(&engine_campaign)
-        .expect("engine campaign");
-    let engine_elapsed = engine_start.elapsed();
-    assert_eq!(
-        engine_report.result.summary(),
-        result.summary(),
-        "engine and legacy classifications must agree"
-    );
-    println!(
-        "  legacy runner: {:?}; engine: {:?} ({:.1} cases/s), classifications identical",
-        start.elapsed(),
-        engine_elapsed,
-        engine_report.stats.rate()
-    );
-    print!("{}", engine_report.stats.stage_table());
+    write_result("ext_digital_campaign.csv", &report::cases_csv(result));
 
     banner("Checkpoint & fork path (amsfi run pll-digital --checkpoint)");
     let ckpt_start = std::time::Instant::now();
-    let ckpt_report = Engine::new(
-        EngineConfig::default()
-            .with_workers(workers())
-            .with_checkpoint(true),
-    )
-    .run(&engine_campaign)
-    .expect("checkpointed campaign");
+    let ckpt_report = Engine::new(scratch.with_checkpoint(true))
+        .run(&campaign)
+        .expect("checkpointed campaign");
     let ckpt_elapsed = ckpt_start.elapsed();
     assert_eq!(
-        ckpt_report.result.golden, engine_report.result.golden,
+        ckpt_report.result.golden, result.golden,
         "checkpointed golden trace must be byte-identical to from-scratch"
     );
     assert_eq!(
-        ckpt_report.result.cases, engine_report.result.cases,
+        ckpt_report.result.cases, result.cases,
         "checkpoint-forked cases must be byte-identical to from-scratch"
     );
     println!(
-        "  from-scratch: {engine_elapsed:?}; checkpointed: {ckpt_elapsed:?} \
+        "  from-scratch: {elapsed:?}; checkpointed: {ckpt_elapsed:?} \
          ({:.2}x, {:.1} cases/s), traces byte-identical",
-        engine_elapsed.as_secs_f64() / ckpt_elapsed.as_secs_f64(),
+        elapsed.as_secs_f64() / ckpt_elapsed.as_secs_f64(),
         ckpt_report.stats.rate()
     );
 
@@ -159,10 +89,4 @@ fn main() {
          \x20 paper's 'identify the significant nodes that should be protected,\n\
          \x20 so that overheads are kept to a minimum' output."
     );
-}
-
-fn workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
 }

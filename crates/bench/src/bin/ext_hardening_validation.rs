@@ -12,11 +12,13 @@
 //! cargo run --release -p amsfi-bench --bin ext_hardening_validation
 //! ```
 
-use amsfi_bench::{banner, write_result};
-use amsfi_core::{plan, run_campaign, CampaignResult, ClassifySpec, FaultCase};
+use amsfi_bench::{banner, run_cases, write_result};
+use amsfi_core::{plan, CampaignResult, ClassifySpec, FaultCase};
 use amsfi_digital::{cells, ComponentId, Netlist, Simulator};
+use amsfi_engine::CaseCtx;
 use amsfi_waves::{Logic, LogicVector, Time};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 const T_END: Time = Time::from_us(2);
 
@@ -130,9 +132,9 @@ fn campaign(variant: Variant, double_upset: bool) -> CampaignResult {
             }
         }
     }
-    run_campaign(&spec, cases, |case| {
+    let runner = Arc::new(move |ctx: &CaseCtx| {
         let (mut sim, storage) = build(variant);
-        if let Some(i) = case {
+        if let Some(i) = ctx.index() {
             let (ti, bit, partner) = setups[i];
             sim.run_until(times[ti])?;
             sim.flip_state(storage, bit);
@@ -142,8 +144,8 @@ fn campaign(variant: Variant, double_upset: bool) -> CampaignResult {
         }
         sim.run_until(T_END)?;
         Ok(sim.into_trace())
-    })
-    .expect("campaign")
+    });
+    run_cases("hardening campaign", &spec, cases, runner)
 }
 
 fn main() {

@@ -8,10 +8,12 @@
 //! cargo run --release -p amsfi-bench --bin ext_propagation_model
 //! ```
 
-use amsfi_bench::{banner, write_result};
+use amsfi_bench::{banner, run_cases, write_result};
 use amsfi_circuits::pll::{self, names};
-use amsfi_core::{plan, run_campaign, ClassifySpec, FaultCase, PropagationModel};
+use amsfi_core::{plan, ClassifySpec, FaultCase, PropagationModel};
+use amsfi_engine::CaseCtx;
 use amsfi_waves::{Time, Tolerance, Trace};
+use std::sync::{Arc, Mutex};
 
 const T_END: Time = Time::from_us(30);
 
@@ -44,28 +46,41 @@ fn main() {
     }
     println!("  {} strikes on the loop-filter input node", cases.len());
 
-    // Capture the faulty traces alongside classification (the campaign
-    // engine does not retain them).
-    let mut faulty_traces: Vec<Trace> = Vec::new();
-    let result = run_campaign(&spec, cases, |case| {
-        let cfg = match case {
-            Some(i) => {
-                let (pi, ti) = setup[i];
-                config.clone().with_fault(pulses[pi], times[ti])
+    // Capture the faulty traces alongside classification (the engine does
+    // not retain them), one slot per case index.
+    let slots: Arc<Vec<Mutex<Option<Trace>>>> =
+        Arc::new(cases.iter().map(|_| Mutex::new(None)).collect());
+    let runner = {
+        let slots = Arc::clone(&slots);
+        Arc::new(move |ctx: &CaseCtx| {
+            let cfg = match ctx.index() {
+                Some(i) => {
+                    let (pi, ti) = setup[i];
+                    config.clone().with_fault(pulses[pi], times[ti])
+                }
+                None => config.clone(),
+            };
+            let mut bench = pll::build(&cfg);
+            bench.monitor_standard();
+            bench.mixed.analog_mut().monitor_name(names::VCTRL);
+            bench.run_until(T_END)?;
+            let trace = bench.trace();
+            if let Some(i) = ctx.index() {
+                *slots[i].lock().expect("trace slot poisoned") = Some(trace.clone());
             }
-            None => config.clone(),
-        };
-        let mut bench = pll::build(&cfg);
-        bench.monitor_standard();
-        bench.mixed.analog_mut().monitor_name(names::VCTRL);
-        bench.run_until(T_END)?;
-        let trace = bench.trace();
-        if case.is_some() {
-            faulty_traces.push(trace.clone());
-        }
-        Ok(trace)
-    })
-    .expect("campaign");
+            Ok(trace)
+        })
+    };
+    let result = run_cases("campaign", &spec, cases, runner);
+    let faulty_traces: Vec<Trace> = slots
+        .iter()
+        .map(|slot| {
+            slot.lock()
+                .expect("trace slot poisoned")
+                .take()
+                .expect("case ran")
+        })
+        .collect();
 
     let model = PropagationModel::from_traces(&spec, &result, &faulty_traces);
 

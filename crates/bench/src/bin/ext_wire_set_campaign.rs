@@ -14,11 +14,13 @@
 //! cargo run --release -p amsfi-bench --bin ext_wire_set_campaign
 //! ```
 
-use amsfi_bench::{banner, write_result};
-use amsfi_core::{report, run_campaign_parallel, ClassifySpec, FaultCase, FaultClass};
+use amsfi_bench::{banner, run_cases, write_result};
+use amsfi_core::{report, ClassifySpec, FaultCase, FaultClass};
 use amsfi_digital::{cells, DigitalSaboteur, Netlist, Simulator};
+use amsfi_engine::CaseCtx;
 use amsfi_faults::{DigitalFault, DigitalFaultKind};
 use amsfi_waves::{Logic, LogicVector, Time};
+use std::sync::Arc;
 
 const T_END: Time = Time::from_us(4);
 const PERIOD: Time = Time::from_ns(20);
@@ -138,9 +140,8 @@ fn main() {
         (Time::from_us(1), T_END),
         (0..4).map(|i| format!("q[{i}]")).collect(),
     );
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let result = run_campaign_parallel(&spec, cases, workers, |case| {
-        let fault_on = case.map(|i| {
+    let runner = Arc::new(move |ctx: &CaseCtx| {
+        let fault_on = ctx.index().map(|i| {
             let (wi, at) = setup[i];
             (
                 wires[wi].0.as_str(),
@@ -150,8 +151,8 @@ fn main() {
         let mut sim = build(fault_on);
         sim.run_until(T_END)?;
         Ok(sim.into_trace())
-    })
-    .expect("campaign");
+    });
+    let result = run_cases("campaign", &spec, cases, runner);
 
     banner("Per-wire vulnerability (10 phases each)");
     print!("{}", report::per_target_table(&result));

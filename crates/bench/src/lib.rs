@@ -3,6 +3,8 @@
 
 #![warn(missing_docs)]
 
+use amsfi_core::{CampaignResult, ClassifySpec, FaultCase};
+use amsfi_engine::{Campaign, CaseRunner, Engine, EngineConfig, ErrorPolicy};
 use amsfi_faults::PulseShape;
 use amsfi_waves::{AnalogWave, Time};
 use std::fmt::Write as _;
@@ -106,6 +108,34 @@ pub fn ascii_plot(
         let _ = writeln!(out, "{label} |{line}");
     }
     out
+}
+
+/// Runs a from-scratch campaign named `name` over `cases` on the engine,
+/// one worker per core.
+///
+/// # Panics
+///
+/// Panics if the golden run or any case fails ([`ErrorPolicy::FailFast`]):
+/// a study with a missing case would report wrong shares.
+pub fn run_cases(
+    name: &str,
+    spec: &ClassifySpec,
+    cases: Vec<FaultCase>,
+    runner: CaseRunner,
+) -> CampaignResult {
+    let campaign = Campaign {
+        name: name.to_owned(),
+        spec: spec.clone(),
+        cases,
+        runner,
+        fork: None,
+        batch: None,
+        word: None,
+    };
+    Engine::new(EngineConfig::default().with_error_policy(ErrorPolicy::FailFast))
+        .run(&campaign)
+        .expect(name)
+        .result
 }
 
 /// The directory experiment binaries write their CSV artifacts to

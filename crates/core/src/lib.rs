@@ -9,8 +9,8 @@
 //! 2. **Fault-injection set-up** — [`plan`] builds the fault list: targets ×
 //!    injection times × pulse parameter ranges.
 //! 3. **Mixed-mode simulation** — each case runs in a fresh instance of the
-//!    circuit (built by a caller-supplied closure), optionally in parallel
-//!    ([`run_campaign_parallel`]).
+//!    circuit (built by a caller-supplied closure); the `amsfi-engine` crate
+//!    runs the golden run and the fault cases in parallel.
 //! 4. **Results analysis** — traces are compared against the golden run with
 //!    an analog tolerance and classified ([`classify`], [`FaultClass`]).
 //! 5. **Outputs** — failure reports ([`report`]) and the error-propagation
@@ -18,11 +18,13 @@
 //!
 //! # Example
 //!
-//! A miniature digital campaign over a toy circuit (see `amsfi-bench` for
-//! the full PLL campaigns of the paper's figures):
+//! Classifying a miniature digital campaign over a toy circuit by hand: one
+//! golden run, one faulty run per mutant target (`amsfi-engine` runs this
+//! loop in parallel; see `amsfi-bench` for the full PLL campaigns of the
+//! paper's figures):
 //!
 //! ```
-//! use amsfi_core::{plan, report, run_campaign, ClassifySpec, FaultCase, FaultClass};
+//! use amsfi_core::{classify, report, CampaignResult, CaseResult, ClassifySpec, FaultCase, FaultClass};
 //! use amsfi_digital::{cells, Netlist, Simulator};
 //! use amsfi_waves::{Logic, Time};
 //!
@@ -42,29 +44,25 @@
 //!     (sim, targets)
 //! }
 //!
-//! let (_, targets) = build();
-//! let at = Time::from_ns(55);
-//! let cases: Vec<FaultCase> = targets
-//!     .iter()
-//!     .map(|t| FaultCase::new(t.to_string(), at))
-//!     .collect();
-//! let spec = ClassifySpec::new(
-//!     (Time::ZERO, Time::from_us(1)),
-//!     (0..4).map(|i| format!("q[{i}]")).collect(),
-//! );
-//! let result = run_campaign(&spec, cases, |case| {
-//!     let (mut sim, targets) = build();
-//!     if let Some(i) = case {
-//!         sim.run_until(at)?;
-//!         sim.flip_state(targets[i].component, targets[i].bit);
-//!     }
-//!     sim.run_until(Time::from_us(1))?;
-//!     Ok(sim.into_trace())
-//! })?;
+//! let (at, t_end) = (Time::from_ns(55), Time::from_us(1));
+//! let spec = ClassifySpec::new((Time::ZERO, t_end), (0..4).map(|i| format!("q[{i}]")).collect());
+//! let (mut sim, targets) = build();
+//! sim.run_until(t_end)?;
+//! let golden = sim.into_trace();
+//! let mut cases = Vec::new();
+//! for target in &targets {
+//!     let (mut sim, _) = build();
+//!     sim.run_until(at)?;
+//!     sim.flip_state(target.component, target.bit);
+//!     sim.run_until(t_end)?;
+//!     let outcome = classify(&spec, &golden, &sim.into_trace());
+//!     cases.push(CaseResult { case: FaultCase::new(target.to_string(), at), outcome });
+//! }
+//! let result = CampaignResult { golden, cases };
 //! // A counter never heals a flipped bit: every SEU is a failure.
 //! assert_eq!(result.summary()[3], (FaultClass::Failure, 4));
 //! println!("{}", report::summary_table(&result));
-//! # Ok::<(), amsfi_core::RunError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -73,19 +71,15 @@
 mod campaign;
 mod classify;
 mod failure;
-mod fork;
 pub mod identity;
 mod online;
 pub mod plan;
 mod propagation;
 pub mod report;
 
-pub use campaign::{
-    run_campaign, run_campaign_parallel, CampaignResult, CaseResult, FaultCase, RunError,
-};
+pub use campaign::{CampaignResult, CaseResult, FaultCase};
 pub use classify::{classify, CaseOutcome, ClassifySpec, FaultClass, ParseFaultClassError};
 pub use failure::{ParseSimFailureError, SimFailure};
-pub use fork::{injection_stops, run_campaign_forked};
 pub use identity::{fingerprint, CampaignTag};
 pub use online::OnlineClassifier;
 pub use propagation::{PropagationEdge, PropagationModel};

@@ -160,7 +160,8 @@ impl PropagationModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{run_campaign, FaultCase};
+    use crate::campaign::{CaseResult, FaultCase};
+    use crate::classify::classify;
     use amsfi_waves::Logic;
 
     fn spec() -> ClassifySpec {
@@ -187,22 +188,25 @@ mod tests {
         t
     }
 
+    /// A campaign result over `faulty`, one case per trace, classified
+    /// against [`golden_trace`].
+    fn result(spec: &ClassifySpec, injected_at: Time, faulty: &[Trace]) -> CampaignResult {
+        let golden = golden_trace();
+        let cases = faulty
+            .iter()
+            .map(|trace| CaseResult {
+                case: FaultCase::new("t0", injected_at),
+                outcome: classify(spec, &golden, trace),
+            })
+            .collect();
+        CampaignResult { golden, cases }
+    }
+
     #[test]
     fn model_captures_ordering_and_delay() {
         let spec = spec();
-        let result = run_campaign(
-            &spec,
-            vec![FaultCase::new("t0", Time::from_ns(50)); 3],
-            |case| {
-                Ok(if case.is_some() {
-                    faulty_trace()
-                } else {
-                    golden_trace()
-                })
-            },
-        )
-        .unwrap();
         let traces = vec![faulty_trace(); 3];
+        let result = result(&spec, Time::from_ns(50), &traces);
         let model = PropagationModel::from_traces(&spec, &result, &traces);
         assert_eq!(model.cases, 3);
         assert_eq!(model.node_hits["mid"], 3);
@@ -217,15 +221,9 @@ mod tests {
     #[test]
     fn dot_output_is_well_formed() {
         let spec = spec();
-        let result = run_campaign(&spec, vec![FaultCase::new("t0", Time::ZERO)], |case| {
-            Ok(if case.is_some() {
-                faulty_trace()
-            } else {
-                golden_trace()
-            })
-        })
-        .unwrap();
-        let model = PropagationModel::from_traces(&spec, &result, &[faulty_trace()]);
+        let traces = [faulty_trace()];
+        let result = result(&spec, Time::ZERO, &traces);
+        let model = PropagationModel::from_traces(&spec, &result, &traces);
         let dot = model.to_dot();
         assert!(dot.starts_with("digraph error_propagation {"));
         assert!(dot.contains("\"mid\" -> \"out\""));
@@ -235,16 +233,9 @@ mod tests {
     #[test]
     fn dominant_path_follows_heaviest_edges() {
         let spec = spec();
-        let result = run_campaign(&spec, vec![FaultCase::new("t0", Time::ZERO); 2], |case| {
-            Ok(if case.is_some() {
-                faulty_trace()
-            } else {
-                golden_trace()
-            })
-        })
-        .unwrap();
-        let model =
-            PropagationModel::from_traces(&spec, &result, &[faulty_trace(), faulty_trace()]);
+        let traces = [faulty_trace(), faulty_trace()];
+        let result = result(&spec, Time::ZERO, &traces);
+        let model = PropagationModel::from_traces(&spec, &result, &traces);
         assert_eq!(
             model.dominant_path(),
             vec!["mid".to_owned(), "out".to_owned()]
@@ -254,11 +245,9 @@ mod tests {
     #[test]
     fn no_divergence_means_empty_model() {
         let spec = spec();
-        let result = run_campaign(&spec, vec![FaultCase::new("t0", Time::ZERO)], |_| {
-            Ok(golden_trace())
-        })
-        .unwrap();
-        let model = PropagationModel::from_traces(&spec, &result, &[golden_trace()]);
+        let traces = [golden_trace()];
+        let result = result(&spec, Time::ZERO, &traces);
+        let model = PropagationModel::from_traces(&spec, &result, &traces);
         assert_eq!(model.cases, 0);
         assert!(model.edges.is_empty());
         assert!(model.node_hits.is_empty());

@@ -9,16 +9,16 @@ use std::fmt::Write as _;
 /// # Examples
 ///
 /// ```
-/// use amsfi_core::{report, run_campaign, ClassifySpec, FaultCase};
+/// use amsfi_core::{classify, report, CampaignResult, CaseResult, ClassifySpec, FaultCase};
 /// use amsfi_waves::{Time, Trace};
 ///
 /// let spec = ClassifySpec::new((Time::ZERO, Time::from_us(1)), vec![]);
-/// let result = run_campaign(&spec, vec![FaultCase::new("x", Time::ZERO)], |_| {
-///     Ok(Trace::new())
-/// })?;
+/// let golden = Trace::new();
+/// let outcome = classify(&spec, &golden, &Trace::new());
+/// let case = FaultCase::new("x", Time::ZERO);
+/// let result = CampaignResult { golden, cases: vec![CaseResult { case, outcome }] };
 /// let table = report::summary_table(&result);
 /// assert!(table.contains("no-effect"));
-/// # Ok::<(), amsfi_core::RunError>(())
 /// ```
 pub fn summary_table(result: &CampaignResult) -> String {
     let summary = result.summary();
@@ -132,8 +132,8 @@ pub fn wilson_interval(hits: usize, trials: usize) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{run_campaign, FaultCase};
-    use crate::classify::ClassifySpec;
+    use crate::campaign::{CaseResult, FaultCase};
+    use crate::classify::{classify, ClassifySpec};
     use amsfi_waves::{Logic, Time, Trace};
 
     fn sample_result() -> CampaignResult {
@@ -143,15 +143,25 @@ mod tests {
             FaultCase::new("ff0.q[1] @ 100 ns", Time::from_ns(100)),
             FaultCase::new("ff1.q[0] @ 100 ns", Time::from_ns(100)),
         ];
-        run_campaign(&spec, cases, |case| {
+        let trace = |case: Option<usize>| {
             let mut t = Trace::new();
-            t.record_digital("out", Time::ZERO, Logic::Zero)?;
+            t.record_digital("out", Time::ZERO, Logic::Zero).unwrap();
             if case == Some(1) {
-                t.record_digital("out", Time::from_ns(200), Logic::One)?;
+                t.record_digital("out", Time::from_ns(200), Logic::One)
+                    .unwrap();
             }
-            Ok(t)
-        })
-        .unwrap()
+            t
+        };
+        let golden = trace(None);
+        let cases = cases
+            .into_iter()
+            .enumerate()
+            .map(|(i, case)| CaseResult {
+                case,
+                outcome: classify(&spec, &golden, &trace(Some(i))),
+            })
+            .collect();
+        CampaignResult { golden, cases }
     }
 
     #[test]

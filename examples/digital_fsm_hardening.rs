@@ -8,9 +8,11 @@
 //! cargo run --release -p amsfi-examples --bin digital_fsm_hardening
 //! ```
 
-use amsfi_core::{plan, run_campaign, ClassifySpec, FaultCase, FaultClass};
+use amsfi_core::{plan, ClassifySpec, FaultCase, FaultClass};
 use amsfi_digital::{cells, Netlist, Simulator};
+use amsfi_engine::{Campaign, CaseCtx, Engine, EngineConfig, EngineError, ErrorPolicy};
 use amsfi_waves::{Logic, Time};
+use std::sync::Arc;
 
 /// A 4-state "detect three ones in a row" Moore machine.
 ///
@@ -65,7 +67,7 @@ fn build(recovering: bool) -> (Simulator, amsfi_digital::ComponentId) {
     (sim, fsm)
 }
 
-fn campaign(recovering: bool) -> Result<[usize; 4], amsfi_core::RunError> {
+fn campaign(recovering: bool) -> Result<[usize; 4], EngineError> {
     let t_end = Time::from_us(2);
     let spec = ClassifySpec::new((Time::ZERO, t_end), vec!["out".to_owned()]);
     // Flip each state bit at each of 20 injection instants, plus force the
@@ -78,19 +80,30 @@ fn campaign(recovering: bool) -> Result<[usize; 4], amsfi_core::RunError> {
         }
         cases.push(FaultCase::new(format!("force-spare t{ti}"), *at));
     }
-    let result = run_campaign(&spec, cases, |case| {
-        let (mut sim, fsm) = build(recovering);
-        if let Some(i) = case {
-            let (ti, kind) = (i / 3, i % 3);
-            sim.run_until(times[ti])?;
-            match kind {
-                0 | 1 => sim.flip_state(fsm, kind),
-                _ => sim.force_state(fsm, 3),
+    let campaign = Campaign {
+        name: format!("fsm recovering={recovering}"),
+        spec,
+        cases,
+        runner: Arc::new(move |ctx: &CaseCtx| {
+            let (mut sim, fsm) = build(recovering);
+            if let Some(i) = ctx.index() {
+                let (ti, kind) = (i / 3, i % 3);
+                sim.run_until(times[ti])?;
+                match kind {
+                    0 | 1 => sim.flip_state(fsm, kind),
+                    _ => sim.force_state(fsm, 3),
+                }
             }
-        }
-        sim.run_until(t_end)?;
-        Ok(sim.into_trace())
-    })?;
+            sim.run_until(t_end)?;
+            Ok(sim.into_trace())
+        }),
+        fork: None,
+        batch: None,
+        word: None,
+    };
+    let result = Engine::new(EngineConfig::default().with_error_policy(ErrorPolicy::FailFast))
+        .run(&campaign)?
+        .result;
     let summary = result.summary();
     Ok([summary[0].1, summary[1].1, summary[2].1, summary[3].1])
 }

@@ -8,8 +8,10 @@
 //! ```
 
 use amsfi_circuits::pll::{self, names};
-use amsfi_core::{plan, report, run_campaign_parallel, ClassifySpec, FaultCase};
+use amsfi_core::{plan, report, ClassifySpec, FaultCase};
+use amsfi_engine::{Campaign, CaseCtx, Engine, EngineConfig, ErrorPolicy};
 use amsfi_waves::{Time, Tolerance};
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut config = pll::PllConfig::fast();
@@ -62,28 +64,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // displaces edges by a full period and still registers.
         .with_digital_skew(Time::from_ns(2));
 
-    // --- run (parallel over all cores) -------------------------------------
+    // --- run (on the engine, one worker per core) ---------------------------
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
     let started = std::time::Instant::now();
-    let result = run_campaign_parallel(&spec, cases, workers, |case| {
-        let mut cfg = config.clone();
-        let mut seu = None;
-        if let Some(i) = case {
-            match plans[i] {
-                Plan::Pulse(pi, ti) => cfg = cfg.with_fault(pulses[pi], times[ti]),
-                Plan::Seu(gi, ti) => seu = Some((gi, ti)),
+    let campaign = Campaign {
+        name: "pll-seu".to_owned(),
+        spec,
+        cases,
+        runner: Arc::new(move |ctx: &CaseCtx| {
+            let mut cfg = config.clone();
+            let mut seu = None;
+            if let Some(i) = ctx.index() {
+                match plans[i] {
+                    Plan::Pulse(pi, ti) => cfg = cfg.with_fault(pulses[pi], times[ti]),
+                    Plan::Seu(gi, ti) => seu = Some((gi, ti)),
+                }
             }
-        }
-        let mut bench = pll::build(&cfg);
-        bench.monitor_standard();
-        if let Some((gi, ti)) = seu {
-            bench.run_until(times[ti])?;
-            let t = &targets[gi];
-            bench.mixed.digital_mut().flip_state(t.component, t.bit);
-        }
-        bench.run_until(t_end)?;
-        Ok(bench.trace())
-    })?;
+            let mut bench = pll::build(&cfg);
+            bench.monitor_standard();
+            if let Some((gi, ti)) = seu {
+                bench.run_until(times[ti])?;
+                let t = &targets[gi];
+                bench.mixed.digital_mut().flip_state(t.component, t.bit);
+            }
+            bench.run_until(t_end)?;
+            Ok(bench.trace())
+        }),
+        fork: None,
+        batch: None,
+        word: None,
+    };
+    let engine = Engine::new(
+        EngineConfig::default()
+            .with_workers(workers)
+            .with_error_policy(ErrorPolicy::FailFast),
+    );
+    let result = engine.run(&campaign)?.result;
     println!(
         "completed on {workers} workers in {:?}\n",
         started.elapsed()

@@ -2,9 +2,12 @@
 //! paper's future-work scenario exercised end to end.
 
 use amsfi_circuits::adc::{self, AdcInput};
-use amsfi_core::{run_campaign, ClassifySpec, FaultCase, FaultClass};
+use amsfi_core::{ClassifySpec, FaultCase, FaultClass};
+use amsfi_engine::CaseCtx;
 use amsfi_faults::TrapezoidPulse;
+use amsfi_integration::run_cases;
 use amsfi_waves::Time;
+use std::sync::Arc;
 
 const T_END: Time = Time::from_us(5);
 
@@ -59,9 +62,9 @@ fn flash_campaign_classifies_strike_amplitudes() {
         .iter()
         .map(|pa| FaultCase::new(format!("{pa} mA"), at))
         .collect();
-    let result = run_campaign(&spec, cases, |case| {
+    let runner = Arc::new(move |ctx: &CaseCtx| {
         let mut cfg = base.clone();
-        if let Some(i) = case {
+        if let Some(i) = ctx.index() {
             let pulse = TrapezoidPulse::from_ma_ps(amplitudes[i], 100, 100, 200_000)?;
             cfg = cfg.with_fault(pulse, at);
         }
@@ -69,8 +72,8 @@ fn flash_campaign_classifies_strike_amplitudes() {
         bench.mixed.digital_mut().monitor_name(adc::FLASH_CODE);
         bench.mixed.run_until(T_END)?;
         Ok(bench.mixed.merged_trace())
-    })
-    .unwrap();
+    });
+    let result = run_cases(&spec, cases, 0, runner).unwrap();
     assert_eq!(result.cases[0].outcome.class, FaultClass::NoEffect);
     assert_eq!(result.cases[1].outcome.class, FaultClass::Transient);
 }
@@ -95,18 +98,18 @@ fn sar_digital_seu_campaign_is_mostly_transient() {
         .iter()
         .map(|t| FaultCase::new(t.to_string(), at))
         .collect();
-    let result = run_campaign(&spec, cases, |case| {
+    let runner = Arc::new(move |ctx: &CaseCtx| {
         let mut bench = adc::build_sar(&base);
         bench.mixed.digital_mut().monitor_name(adc::SAR_RESULT);
-        if let Some(i) = case {
+        if let Some(i) = ctx.index() {
             bench.mixed.run_until(at)?;
             let t = &targets[i];
             bench.mixed.digital_mut().flip_state(t.component, t.bit);
         }
         bench.mixed.run_until(T_END)?;
         Ok(bench.mixed.merged_trace())
-    })
-    .unwrap();
+    });
+    let result = run_cases(&spec, cases, 0, runner).unwrap();
     let summary = result.summary();
     // No SEU in the SAR registers survives to the end of the window: the
     // next conversion overwrites everything (transient or masked).

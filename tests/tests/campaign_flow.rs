@@ -3,13 +3,12 @@
 //! reflects the physical error path.
 
 use amsfi_circuits::pll::{self, names};
-use amsfi_core::{
-    plan, report, run_campaign, run_campaign_parallel, ClassifySpec, FaultCase, FaultClass,
-    PropagationModel,
-};
+use amsfi_core::{plan, report, ClassifySpec, FaultCase, FaultClass, PropagationModel};
+use amsfi_engine::{CaseCtx, CaseRunner, EngineError};
 use amsfi_faults::TrapezoidPulse;
-use amsfi_integration::fast_pll;
+use amsfi_integration::{fast_pll, run_cases};
 use amsfi_waves::{Time, Tolerance, Trace};
+use std::sync::{Arc, Mutex};
 
 const T_END: Time = Time::from_us(25);
 
@@ -25,12 +24,10 @@ fn spec() -> ClassifySpec {
         .with_digital_skew(Time::from_ns(5))
 }
 
-fn runner<'a>(
-    pulses: &'a [TrapezoidPulse],
-    times: &'a [Time],
-) -> impl Fn(Option<usize>) -> Result<Trace, Box<dyn std::error::Error + Send + Sync>> + Sync + 'a {
-    move |case| {
-        let cfg = match case {
+fn runner(pulses: &[TrapezoidPulse], times: &[Time]) -> CaseRunner {
+    let (pulses, times) = (pulses.to_vec(), times.to_vec());
+    Arc::new(move |ctx: &CaseCtx| {
+        let cfg = match ctx.index() {
             Some(i) => {
                 let pulse = pulses[i / times.len()];
                 let at = times[i % times.len()];
@@ -42,7 +39,7 @@ fn runner<'a>(
         bench.monitor_standard();
         bench.run_until(T_END)?;
         Ok(bench.trace())
-    }
+    })
 }
 
 fn cases(pulses: &[TrapezoidPulse], times: &[Time]) -> Vec<FaultCase> {
@@ -60,9 +57,8 @@ fn parallel_campaign_equals_sequential_on_real_circuit() {
     let pulses = plan::pulse_grid(&[2.0, 10.0], &[100], &[300], &[500]);
     let times = plan::uniform_times(Time::from_us(12), Time::from_us(14), 2);
     let spec = spec();
-    let seq = run_campaign(&spec, cases(&pulses, &times), runner(&pulses, &times)).unwrap();
-    let par =
-        run_campaign_parallel(&spec, cases(&pulses, &times), 4, runner(&pulses, &times)).unwrap();
+    let seq = run_cases(&spec, cases(&pulses, &times), 1, runner(&pulses, &times)).unwrap();
+    let par = run_cases(&spec, cases(&pulses, &times), 4, runner(&pulses, &times)).unwrap();
     assert_eq!(seq.summary(), par.summary());
     for (a, b) in seq.cases.iter().zip(&par.cases) {
         assert_eq!(a.outcome, b.outcome, "case {}", a.case);
@@ -75,7 +71,7 @@ fn small_pulse_is_no_effect_big_pulse_disturbs() {
     let pulses = plan::pulse_grid(&[0.05, 10.0], &[100], &[300], &[500]);
     let times = vec![Time::from_us(13)];
     let spec = spec();
-    let result = run_campaign(&spec, cases(&pulses, &times), runner(&pulses, &times)).unwrap();
+    let result = run_cases(&spec, cases(&pulses, &times), 0, runner(&pulses, &times)).unwrap();
     assert_eq!(
         result.cases[0].outcome.class,
         FaultClass::NoEffect,
@@ -91,7 +87,7 @@ fn reports_render_for_real_campaign() {
     let pulses = plan::pulse_grid(&[10.0], &[100], &[300], &[500]);
     let times = vec![Time::from_us(13)];
     let spec = spec();
-    let result = run_campaign(&spec, cases(&pulses, &times), runner(&pulses, &times)).unwrap();
+    let result = run_cases(&spec, cases(&pulses, &times), 0, runner(&pulses, &times)).unwrap();
     let table = report::summary_table(&result);
     assert!(table.contains("total"));
     let csv = report::cases_csv(&result);
@@ -105,16 +101,28 @@ fn propagation_model_shows_analog_to_digital_path() {
     let pulses = plan::pulse_grid(&[10.0, 20.0], &[100], &[300], &[1_000]);
     let times = plan::uniform_times(Time::from_us(12), Time::from_us(14), 2);
     let spec = spec();
-    let mut faulty_traces = Vec::new();
+    // The engine keeps no faulty traces: capture one per case index.
+    let slots: Arc<Vec<Mutex<Option<Trace>>>> = Arc::new(
+        (0..pulses.len() * times.len())
+            .map(|_| Mutex::new(None))
+            .collect(),
+    );
     let run = runner(&pulses, &times);
-    let result = run_campaign(&spec, cases(&pulses, &times), |case| {
-        let trace = run(case)?;
-        if case.is_some() {
-            faulty_traces.push(trace.clone());
-        }
-        Ok(trace)
-    })
-    .unwrap();
+    let capture = {
+        let slots = Arc::clone(&slots);
+        Arc::new(move |ctx: &CaseCtx| {
+            let trace = run(ctx)?;
+            if let Some(i) = ctx.index() {
+                *slots[i].lock().unwrap() = Some(trace.clone());
+            }
+            Ok(trace)
+        })
+    };
+    let result = run_cases(&spec, cases(&pulses, &times), 0, capture).unwrap();
+    let faulty_traces: Vec<Trace> = slots
+        .iter()
+        .map(|slot| slot.lock().unwrap().take().unwrap())
+        .collect();
     let model = PropagationModel::from_traces(&spec, &result, &faulty_traces);
     assert!(model.cases > 0);
     // The strike lands on the analog node first; it must lead the orderings.
@@ -135,20 +143,16 @@ fn propagation_model_shows_analog_to_digital_path() {
 #[test]
 fn campaign_error_propagates_from_failed_run() {
     let spec = spec();
-    let err = run_campaign(
-        &spec,
-        vec![FaultCase::new("x", Time::ZERO)],
-        |case| match case {
-            None => {
-                let mut bench = pll::build(&fast_pll());
-                bench.monitor_standard();
-                bench.run_until(Time::from_us(1))?;
-                Ok(bench.trace())
-            }
-            Some(_) => Err("injection machinery exploded".into()),
-        },
-    )
-    .unwrap_err();
-    assert_eq!(err.case, Some(0));
+    let runner = Arc::new(|ctx: &CaseCtx| match ctx.index() {
+        None => {
+            let mut bench = pll::build(&fast_pll());
+            bench.monitor_standard();
+            bench.run_until(Time::from_us(1))?;
+            Ok(bench.trace())
+        }
+        Some(_) => Err("injection machinery exploded".into()),
+    });
+    let err = run_cases(&spec, vec![FaultCase::new("x", Time::ZERO)], 0, runner).unwrap_err();
+    assert!(matches!(err, EngineError::Case { index: 0, .. }), "{err}");
     assert!(err.to_string().contains("exploded"));
 }

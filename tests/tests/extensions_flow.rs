@@ -5,10 +5,13 @@
 use amsfi_circuits::adc::AdcInput;
 use amsfi_circuits::cpu::{checksum_program, TinyCpu};
 use amsfi_circuits::sdm::{self, SdmConfig, SDM_CODE};
-use amsfi_core::{run_campaign, ClassifySpec, FaultCase, FaultClass};
+use amsfi_core::{ClassifySpec, FaultCase, FaultClass};
 use amsfi_digital::{cells, DigitalSaboteur, Netlist, Simulator};
+use amsfi_engine::CaseCtx;
 use amsfi_faults::{DigitalFault, DigitalFaultKind, TrapezoidPulse};
+use amsfi_integration::run_cases;
 use amsfi_waves::{Logic, LogicVector, Time};
+use std::sync::Arc;
 
 /// Ext. D in miniature: a TMR accumulator masks every single stored-bit SEU
 /// that the plain accumulator turns into a failure.
@@ -71,16 +74,16 @@ fn tmr_masks_what_plain_storage_fails() {
         let cases = (0..bits)
             .map(|b| FaultCase::new(format!("bit{b}"), Time::from_ns(333)))
             .collect();
-        let result = run_campaign(&spec, cases, |case| {
+        let runner = Arc::new(move |ctx: &CaseCtx| {
             let (mut sim, store) = build(tmr);
-            if let Some(b) = case {
+            if let Some(b) = ctx.index() {
                 sim.run_until(Time::from_ns(333))?;
                 sim.flip_state(store, b);
             }
             sim.run_until(Time::from_us(1))?;
             Ok(sim.into_trace())
-        })
-        .unwrap();
+        });
+        let result = run_cases(&spec, cases, 0, runner).unwrap();
         for c in &result.cases {
             assert_eq!(c.outcome.class, expect, "tmr={tmr}, case {}", c.case);
         }
@@ -144,16 +147,16 @@ fn cpu_masking_follows_dataflow() {
         FaultCase::new("ram[9][0]", Time::from_us(3)),
         FaultCase::new("ram[1][0]", Time::from_us(3)),
     ];
-    let result = run_campaign(&spec, cases, |case| {
+    let runner = Arc::new(move |ctx: &CaseCtx| {
         let (mut sim, cpu) = build();
-        if let Some(i) = case {
+        if let Some(i) = ctx.index() {
             sim.run_until(Time::from_us(3))?;
             sim.flip_state(cpu, if i == 0 { dead_bit } else { live_bit });
         }
         sim.run_until(Time::from_us(10))?;
         Ok(sim.into_trace())
-    })
-    .unwrap();
+    });
+    let result = run_cases(&spec, cases, 0, runner).unwrap();
     assert_eq!(result.cases[0].outcome.class, FaultClass::NoEffect);
     assert_eq!(result.cases[1].outcome.class, FaultClass::Failure);
 }
