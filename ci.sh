@@ -22,6 +22,11 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q
 
+# The benchmark is a workspace of its own that compiles against the
+# crates' public API: build and test it here, so an API change that
+# breaks it fails CI rather than the benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Results oracle: every figure/extension binary (fig*, ext*) regenerates
 # its files under results/ byte for byte (results/bench/ holds the perf
 # gates' output and is excluded).

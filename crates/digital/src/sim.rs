@@ -10,8 +10,8 @@
 use crate::component::{Action, EvalContext};
 use crate::netlist::{ComponentDecl, ComponentId, Netlist, SignalDecl, SignalId};
 use amsfi_waves::{
-    Checkpoint, CheckpointMismatch, Fnv1a, ForkableSim, GuardViolation, LogicVector, SimBudget,
-    SimObserver, Time, Trace,
+    Checkpoint, CheckpointMismatch, DigitalSlot, Fnv1a, ForkableSim, GuardViolation, LogicVector,
+    SimBudget, SimObserver, Time, Trace,
 };
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -132,7 +132,10 @@ struct SignalState {
     width: usize,
     value: LogicVector,
     readers: Vec<usize>,
-    monitored: bool,
+    /// Trace slots of a monitored signal, one per bit (empty when not
+    /// monitored): the signal name for a scalar, `"name[i]"` for bit `i`
+    /// of a bus.
+    trace_slots: Vec<DigitalSlot>,
 }
 
 #[derive(Debug, Clone)]
@@ -191,7 +194,7 @@ pub(crate) struct WordSeedSignal {
     pub(crate) width: usize,
     pub(crate) value: LogicVector,
     pub(crate) readers: Vec<usize>,
-    pub(crate) monitored: bool,
+    pub(crate) trace_slots: Vec<DigitalSlot>,
 }
 
 /// One component of a simulator torn down into [`WordSeed`] form.
@@ -211,6 +214,8 @@ pub(crate) struct WordSeed {
     pub(crate) delta_limit: usize,
     pub(crate) budget: SimBudget,
     pub(crate) observer: Option<SimObserver>,
+    /// The unstarted trace: empty, with every monitored bit resolved.
+    pub(crate) trace: Trace,
     pub(crate) signals: Vec<WordSeedSignal>,
     pub(crate) components: Vec<WordSeedComponent>,
 }
@@ -272,7 +277,7 @@ impl Simulator {
                     width: *width,
                     value: LogicVector::new(*width),
                     readers: readers.iter().map(|r| r.0).collect(),
-                    monitored: false,
+                    trace_slots: Vec::new(),
                 }
             })
             .collect();
@@ -345,9 +350,18 @@ impl Simulator {
     /// Marks a signal for tracing. Must be called before the first
     /// [`Simulator::run_until`] to capture the waveform from time zero.
     /// Scalars are recorded under the signal name; each bit of a bus is
-    /// recorded as `"name[i]"`.
+    /// recorded as `"name[i]"`. The names resolve to trace slots here,
+    /// once, so recording a sample is an indexed push.
     pub fn monitor(&mut self, signal: SignalId) {
-        self.signals[signal.0].monitored = true;
+        let state = &mut self.signals[signal.0];
+        let trace = &mut self.trace;
+        state.trace_slots = if state.width == 1 {
+            vec![trace.resolve_digital(&state.name)]
+        } else {
+            (0..state.width)
+                .map(|bit| trace.resolve_digital(&format!("{}[{bit}]", state.name)))
+                .collect()
+        };
     }
 
     /// Like [`Simulator::monitor`], resolving the signal by name.
@@ -375,7 +389,7 @@ impl Simulator {
         self.signals
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.monitored)
+            .filter(|(_, s)| !s.trace_slots.is_empty())
             .map(|(i, _)| SignalId(i))
             .collect()
     }
@@ -696,6 +710,7 @@ impl Simulator {
             delta_limit: self.delta_limit,
             budget: self.budget,
             observer: self.observer,
+            trace: self.trace,
             signals: self
                 .signals
                 .into_iter()
@@ -704,7 +719,7 @@ impl Simulator {
                     width: s.width,
                     value: s.value,
                     readers: s.readers,
-                    monitored: s.monitored,
+                    trace_slots: s.trace_slots,
                 })
                 .collect(),
             components: self
@@ -848,20 +863,10 @@ impl Simulator {
         let mut changed_words = std::mem::take(&mut self.scratch.changed);
         bitset_drain(&mut changed_words, |sig| {
             let state = &self.signals[sig];
-            if !state.monitored {
-                return;
-            }
-            if state.width == 1 {
+            for (bit, &slot) in state.trace_slots.iter().enumerate() {
                 self.trace
-                    .record_digital(&state.name, t, state.value[0])
+                    .record_digital_slot(slot, t, state.value[bit])
                     .expect("time is monotonic");
-            } else {
-                for bit in 0..state.width {
-                    let bit_name = format!("{}[{bit}]", state.name);
-                    self.trace
-                        .record_digital(&bit_name, t, state.value[bit])
-                        .expect("time is monotonic");
-                }
             }
         });
         self.scratch.changed = changed_words;

@@ -45,7 +45,8 @@ use crate::component::{Action, Component, EvalContext};
 use crate::netlist::{ComponentId, SignalId};
 use crate::sim::{SimError, Simulator, WordSeed};
 use amsfi_waves::{
-    KernelMetrics, LogicPlanes, LogicVector, SimBudget, SimObserver, Time, Trace, LANES,
+    DigitalSlot, KernelMetrics, LogicPlanes, LogicVector, SimBudget, SimObserver, Time, Trace,
+    LANES,
 };
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -477,7 +478,9 @@ struct WordSignal {
     width: usize,
     planes: Vec<LogicPlanes>,
     readers: Vec<usize>,
-    monitored: bool,
+    /// One trace slot per bit of a monitored signal (empty otherwise),
+    /// resolved on the golden trace and inherited by every lane's clone.
+    trace_slots: Vec<DigitalSlot>,
 }
 
 struct WordSlot {
@@ -555,7 +558,7 @@ impl WordSimulator {
                 name: s.name,
                 width: s.width,
                 readers: s.readers,
-                monitored: s.monitored,
+                trace_slots: s.trace_slots,
             })
             .collect();
         let components: Vec<WordSlot> = seed
@@ -575,6 +578,10 @@ impl WordSimulator {
                 }
             })
             .collect();
+        // The golden lane records into the scalar simulator's (empty)
+        // trace, whose slot layout the signals' trace slots index.
+        let mut traces: Vec<Trace> = (0..LANES).map(|_| Trace::new()).collect();
+        traces[GOLDEN_LANE] = seed.trace;
         let mut sim = WordSimulator {
             signals,
             components,
@@ -586,7 +593,7 @@ impl WordSimulator {
             live: u64::MAX,
             recording: 1 << GOLDEN_LANE,
             injected: 0,
-            traces: (0..LANES).map(|_| Trace::new()).collect(),
+            traces,
             budget: seed.budget,
             golden_observer: seed.observer,
             lane_budgets: (0..LANES).map(|_| None).collect(),
@@ -832,24 +839,18 @@ impl WordSimulator {
             let lanes = std::mem::replace(&mut self.scratch.changed[sig], 0);
             let rec = lanes & self.recording & self.live;
             let state = &self.signals[sig];
-            if rec == 0 || !state.monitored {
+            if rec == 0 || state.trace_slots.is_empty() {
                 continue;
             }
             let mut m = rec;
             while m != 0 {
                 let lane = m.trailing_zeros() as usize;
                 m &= m - 1;
-                if state.width == 1 {
-                    self.traces[lane]
-                        .record_digital(&state.name, t, state.planes[0].lane(lane))
+                let trace = &mut self.traces[lane];
+                for (plane, &slot) in state.planes.iter().zip(&state.trace_slots) {
+                    trace
+                        .record_digital_slot(slot, t, plane.lane(lane))
                         .expect("time is monotonic");
-                } else {
-                    for bit in 0..state.width {
-                        let bit_name = format!("{}[{bit}]", state.name);
-                        self.traces[lane]
-                            .record_digital(&bit_name, t, state.planes[bit].lane(lane))
-                            .expect("time is monotonic");
-                    }
                 }
             }
         }
@@ -1708,6 +1709,102 @@ mod tests {
                 }
                 other => panic!("lane {lane}: outcome mismatch {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn undriven_monitored_bus_stays_absent_in_every_kernel() {
+        // A monitored bus that nothing drives keeps its power-on value, so
+        // none of its bits ever records a sample: each must be *absent*
+        // (no wave at all, not an empty one) from the scalar, lane-cloned
+        // and word traces alike — golden, running and sealed lanes — since
+        // the classifier treats a missing signal as a mismatch.
+        const T_END: Time = Time::from_us(2);
+        let pulse = DigitalFault::new(
+            DigitalFaultKind::SetPulse {
+                width: Time::from_ns(4),
+            },
+            Time::from_ns(42),
+        );
+        let build = || {
+            let mut net = Netlist::new();
+            let clk = net.signal("clk", 1);
+            let rst = net.signal("rst", 1);
+            let en = net.signal("en", 1);
+            let q = net.signal("q", 4);
+            net.signal("idle", 2);
+            net.add("ck", ClockGen::new(Time::from_ns(20)), &[], &[clk]);
+            net.add("r", ConstVector::bit(Logic::Zero), &[], &[rst]);
+            net.add("e", ConstVector::bit(Logic::One), &[], &[en]);
+            net.add("ctr", Counter::new(4, Time::ZERO), &[clk, rst, en], &[q]);
+            net.insert_saboteur(en, Box::new(DigitalSaboteur::new(1)));
+            let mut sim = Simulator::new(net);
+            sim.monitor_name("q");
+            sim.monitor_name("idle");
+            sim
+        };
+        // Lane 0: a washed-out pulse on `en` (seals, spliced suffix);
+        // lane 1: a counter bit flip (runs to the horizon).
+        let inject = |lane: usize, sim: &mut dyn InjectTarget| -> Result<(), String> {
+            if lane == 0 {
+                let sab = sim.component_id("saboteur(en)").expect("saboteur present");
+                sim.component_mut(sab)
+                    .as_any_mut()
+                    .downcast_mut::<DigitalSaboteur>()
+                    .expect("saboteur type")
+                    .arm(pulse.clone());
+                sim.wake_component(sab, pulse.at);
+            } else {
+                let ctr = sim.component_id("ctr").expect("counter present");
+                sim.flip_state(ctr, 2);
+            }
+            Ok(())
+        };
+        let at = [Time::ZERO, Time::from_ns(330)];
+
+        let mut scalar = Vec::new();
+        for (lane, &t) in at.iter().enumerate() {
+            let mut sim = build();
+            sim.run_until(t).unwrap();
+            inject(lane, &mut sim).unwrap();
+            sim.run_until(T_END).unwrap();
+            scalar.push(sim.into_trace());
+        }
+        let mut cloned = crate::BatchSimulator::new(build(), T_END);
+        let mut word = WordBatchSimulator::new(build(), T_END).with_seal_stride(Time::from_ns(50));
+        for &t in &at {
+            cloned.add_lane(t);
+            word.add_lane(t);
+        }
+        let cloned = cloned
+            .run(|lane, sim| inject(lane, sim), |_, _| {})
+            .unwrap();
+        let word = word.run(inject, |_, _| {}).unwrap();
+
+        let lane_traces = |report: &BatchReport| -> Vec<Trace> {
+            report
+                .outcomes
+                .iter()
+                .map(|outcome| match outcome {
+                    LaneOutcome::Completed { trace, .. } => trace.clone(),
+                    LaneOutcome::Failed { error } => panic!("{error}"),
+                })
+                .collect()
+        };
+        assert_eq!(lane_traces(&cloned), scalar, "cloned lanes vs scalar");
+        assert_eq!(lane_traces(&word), scalar, "word lanes vs scalar");
+        assert!(matches!(
+            word.outcomes[0],
+            LaneOutcome::Completed {
+                sealed_at: Some(_),
+                ..
+            }
+        ));
+        let expected = ["q[0]", "q[1]", "q[2]", "q[3]"];
+        for trace in [&cloned.golden, &word.golden].into_iter().chain(&scalar) {
+            assert_eq!(trace.digital_names().collect::<Vec<_>>(), expected);
+            assert!(trace.digital("idle[0]").is_none() && trace.digital("idle[1]").is_none());
+            assert_eq!(trace.len(), expected.len());
         }
     }
 }

@@ -624,7 +624,37 @@ impl Engine {
                 .with_field("shards", cfg.shard.count)
         });
 
-        let fork_spec = if cfg.checkpoint {
+        // Bit-parallel mode: workers claim *groups* of cases and run each
+        // group lock-step through the campaign's batch spec. Cases are
+        // grouped by ascending injection instant so lanes in one group
+        // activate off a shared golden prefix.
+        let word_spec = if cfg.batch && cfg.word {
+            let spec = campaign.word.as_ref();
+            if spec.is_none() {
+                tele.emit_with(|| {
+                    Event::new("batch", "fallback")
+                        .with_field("reason", "campaign has no word spec")
+                });
+            }
+            spec
+        } else {
+            None
+        };
+        let batch_spec = if cfg.batch {
+            let spec = word_spec.or(campaign.batch.as_ref());
+            if spec.is_none() {
+                tele.emit_with(|| {
+                    Event::new("batch", "fallback")
+                        .with_field("reason", "campaign has no batch spec")
+                });
+            }
+            spec
+        } else {
+            None
+        };
+        // Snapshots serve only the scalar per-case path: batch groups never
+        // fork, and their scalar fallbacks run from scratch.
+        let fork_spec = if cfg.checkpoint && batch_spec.is_none() {
             campaign.fork.as_ref()
         } else {
             None
@@ -694,34 +724,6 @@ impl Engine {
         let fresh: Mutex<Vec<(usize, JournalEntry)>> = Mutex::new(Vec::new());
         let workers = cfg.effective_workers().min(pending.len()).max(1);
 
-        // Bit-parallel mode: workers claim *groups* of cases and run each
-        // group lock-step through the campaign's batch spec. Cases are
-        // grouped by ascending injection instant so lanes in one group
-        // activate off a shared golden prefix.
-        let word_spec = if cfg.batch && cfg.word {
-            let spec = campaign.word.as_ref();
-            if spec.is_none() {
-                tele.emit_with(|| {
-                    Event::new("batch", "fallback")
-                        .with_field("reason", "campaign has no word spec")
-                });
-            }
-            spec
-        } else {
-            None
-        };
-        let batch_spec = if cfg.batch {
-            let spec = word_spec.or(campaign.batch.as_ref());
-            if spec.is_none() {
-                tele.emit_with(|| {
-                    Event::new("batch", "fallback")
-                        .with_field("reason", "campaign has no batch spec")
-                });
-            }
-            spec
-        } else {
-            None
-        };
         // Word groups hold one lane fewer: lane LANES-1 carries the golden
         // machine inside the word.
         let lanes_cap = if word_spec.is_some() {

@@ -11,7 +11,7 @@
 
 use amsfi_core::{plan, ClassifySpec, FaultCase};
 use amsfi_digital::{cells, InjectTarget, Netlist, Simulator};
-use amsfi_engine::{campaigns, Campaign, CaseCtx, Engine, EngineConfig};
+use amsfi_engine::{campaigns, Campaign, CaseCtx, Engine, EngineConfig, Event, Telemetry};
 use amsfi_waves::{Logic, Time};
 use std::sync::Arc;
 
@@ -341,4 +341,60 @@ fn cpu_set_campaign_word_runs_byte_identically() {
     for (a, b) in scalar.result.cases.iter().zip(&word.result.cases) {
         assert_eq!(a, b, "cpu-set case {} diverged between paths", a.case);
     }
+}
+
+#[test]
+fn checkpoint_with_word_batch_captures_no_snapshots() {
+    // Word groups never fork and their scalar fallbacks run from scratch,
+    // so `--checkpoint --batch --word` must not take the snapshotting
+    // golden run: same journal as `--batch --word`, zero snapshots.
+    let campaign = campaigns::build("cpu", Some(8)).expect("cpu campaign");
+    assert!(campaign.fork.is_some() && campaign.word.is_some());
+    let dir = std::env::temp_dir().join(format!("amsfi-ckpt-word-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let run = |checkpoint: bool| {
+        let tag = if checkpoint { "ckpt" } else { "plain" };
+        let journal = dir.join(format!("{tag}.journal"));
+        let events = dir.join(format!("{tag}.jsonl"));
+        let _ = std::fs::remove_file(&journal);
+        let tele = Telemetry::builder()
+            .events_path(&events)
+            .build()
+            .expect("telemetry");
+        Engine::new(
+            EngineConfig::default()
+                .with_workers(2)
+                .with_batch(true)
+                .with_word(true)
+                .with_checkpoint(checkpoint)
+                .with_journal(&journal)
+                .with_telemetry(tele.clone()),
+        )
+        .run(&campaign)
+        .expect("word run");
+        tele.close();
+        let mut lines: Vec<String> = std::fs::read_to_string(&journal)
+            .expect("journal readable")
+            .lines()
+            .map(str::to_owned)
+            .collect();
+        lines.sort();
+        let golden = std::fs::read_to_string(&events)
+            .expect("events readable")
+            .lines()
+            .map(|l| Event::parse(l).expect("event parses"))
+            .find(|e| e.kind == "span" && e.name == "golden")
+            .expect("golden span");
+        (lines, golden)
+    };
+    let (plain, _) = run(false);
+    let (checkpointed, golden) = run(true);
+    assert_eq!(plain, checkpointed);
+    let snapshots = golden
+        .fields
+        .iter()
+        .find(|(k, _)| k == "snapshots")
+        .map(|(_, v)| v.as_str());
+    assert_eq!(snapshots, Some("0"));
+    let _ = std::fs::remove_dir_all(&dir);
 }

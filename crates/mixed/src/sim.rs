@@ -74,6 +74,10 @@ pub struct MixedSimulator {
     seeded: bool,
     budget: SimBudget,
     observer: Option<SimObserver>,
+    /// Digitized node values at the start of the current sync step: a
+    /// buffer reused across steps, empty between them (so a clone or
+    /// checkpoint carries nothing).
+    digitizer_prev: Vec<f64>,
 }
 
 impl MixedSimulator {
@@ -89,6 +93,7 @@ impl MixedSimulator {
             seeded: false,
             budget: SimBudget::unlimited(),
             observer: None,
+            digitizer_prev: Vec::new(),
         }
     }
 
@@ -391,11 +396,8 @@ impl MixedSimulator {
             }
             // Snapshot digitized nodes, integrate, then look for crossings.
             let t0 = self.now;
-            let prev: Vec<f64> = self
-                .digitizers
-                .iter()
-                .map(|dz| self.analog.value(dz.node))
-                .collect();
+            let mut prev = std::mem::take(&mut self.digitizer_prev);
+            prev.extend(self.digitizers.iter().map(|dz| self.analog.value(dz.node)));
             self.analog.step(t_next - t0);
             if self.budget.is_limited() {
                 if let Some((signal, _)) = self.analog.first_non_finite() {
@@ -417,6 +419,8 @@ impl MixedSimulator {
                         .inject_value(dz.signal, LogicVector::filled(edge.level, 1), at);
                 }
             }
+            prev.clear();
+            self.digitizer_prev = prev;
             self.now = t_next;
             self.digital.run_until(self.now)?;
             // Poll the observer at the end of the sync step. Finality

@@ -68,6 +68,6 @@ pub use guard::{CancelToken, GuardViolation, SimBudget, CLOCK_STRIDE};
 pub use logic::{Logic, LogicPlanes, LANES};
 pub use stream::{AnalogStream, DigitalStream, SimObserver, TraceView, OBSERVER_STRIDE};
 pub use time::Time;
-pub use trace::Trace;
+pub use trace::{AnalogSlot, DigitalSlot, Trace};
 pub use vector::{LogicVector, ParseLogicVectorError};
 pub use wave::{AnalogWave, DigitalWave, PushOutOfOrderError};

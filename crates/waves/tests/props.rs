@@ -2,7 +2,7 @@
 
 use amsfi_waves::{
     baseline, compare_analog, compare_digital_with_skew, measure, AnalogStream, AnalogWave,
-    DigitalStream, DigitalWave, Logic, LogicVector, Time, Tolerance,
+    DigitalStream, DigitalWave, Logic, LogicVector, Time, Tolerance, Trace,
 };
 use proptest::prelude::*;
 
@@ -221,5 +221,70 @@ proptest! {
         let back = Time::from_secs_f64(t.as_secs_f64());
         // f64 has 52 mantissa bits; round trip is exact to ~128 fs at 0.5 s.
         prop_assert!((back - t).abs() <= Time::from_fs(256));
+    }
+
+    /// Any interleaving of by-name and by-slot recording (with slots
+    /// resolved early, late or never used) builds the same trace as
+    /// recording everything by name: same signals, waves, names and `==`.
+    #[test]
+    fn slot_and_name_recording_agree(
+        ops in prop::collection::vec(
+            (0usize..6, 0i64..3, arb_logic(), -4.0f64..4.0, 0u8..4),
+            0..60,
+        ),
+    ) {
+        const NAMES: [&str; 3] = ["a", "b[0]", "b[1]"];
+        let mut by_name = Trace::new();
+        let mut mixed = Trace::new();
+        let mut digital = [None; 3];
+        let mut analog = [None; 3];
+        let mut now = Time::ZERO;
+        for (signal, step_ns, bit, level, how) in ops {
+            now += Time::from_ns(step_ns);
+            let (name, is_digital) = (NAMES[signal % 3], signal < 3);
+            match how {
+                // Resolve only: must stay invisible until a sample lands.
+                0 if is_digital => {
+                    digital[signal % 3] = Some(mixed.resolve_digital(name));
+                }
+                0 => analog[signal % 3] = Some(mixed.resolve_analog(name)),
+                // By name on both sides.
+                1 if is_digital => {
+                    by_name.record_digital(name, now, bit).unwrap();
+                    mixed.record_digital(name, now, bit).unwrap();
+                }
+                1 => {
+                    by_name.record_analog(name, now, level).unwrap();
+                    mixed.record_analog(name, now, level).unwrap();
+                }
+                // By slot, resolving on first use.
+                _ if is_digital => {
+                    by_name.record_digital(name, now, bit).unwrap();
+                    let slot = *digital[signal % 3]
+                        .get_or_insert_with(|| mixed.resolve_digital(name));
+                    mixed.record_digital_slot(slot, now, bit).unwrap();
+                }
+                _ => {
+                    by_name.record_analog(name, now, level).unwrap();
+                    let slot = *analog[signal % 3]
+                        .get_or_insert_with(|| mixed.resolve_analog(name));
+                    mixed.record_analog_slot(slot, now, level).unwrap();
+                }
+            }
+        }
+        prop_assert_eq!(&mixed, &by_name);
+        prop_assert_eq!(&by_name, &mixed);
+        prop_assert_eq!(mixed.len(), by_name.len());
+        prop_assert_eq!(mixed.is_empty(), by_name.is_empty());
+        prop_assert_eq!(
+            mixed.digital_names().collect::<Vec<_>>(),
+            by_name.digital_names().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(
+            mixed.analog_names().collect::<Vec<_>>(),
+            by_name.analog_names().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(format!("{mixed:?}"), format!("{by_name:?}"));
+        prop_assert_eq!(mixed.approx_bytes(), by_name.approx_bytes());
     }
 }
